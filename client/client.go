@@ -81,16 +81,12 @@ func WithWindow(n int) Option { return func(c *Config) { c.Window = n } }
 func WithDialTimeout(d time.Duration) Option { return func(c *Config) { c.DialTimeout = d } }
 
 // Stats is the server's counter snapshot: the storage counters (embedded,
-// so st.Commits etc. read directly) plus the plan cache's counters and,
-// against a v5 server, the live connection count.
+// so st.Commits etc. read directly) plus the plan cache's counters and
+// the live connection count.
 type Stats struct {
 	storage.StatsSnapshot
 	Plans       wire.PlanStats
-	ActiveConns int64 // open connections on the server (v5+; zero otherwise)
-
-	// Legacy reports that the server answered with the pre-v5 frame shape:
-	// the cache hit/miss and connection fields above are absent, not zero.
-	Legacy bool
+	ActiveConns int64 // open connections on the server
 }
 
 // outcome is one completed response.
@@ -392,17 +388,6 @@ func (c *Conn) readResponse(br *bufio.Reader, sink func(cols []string, rows [][]
 			} else {
 				res = &Result{Cols: m.Cols}
 			}
-		case *wire.RowBatch:
-			if !sawDesc && res == nil {
-				return outcome{err: &connError{fmt.Errorf("client: row batch before row description")}}
-			}
-			if sink != nil {
-				if len(m.Rows) > 0 {
-					deliver(m.Rows)
-				}
-			} else {
-				res.Rows = append(res.Rows, m.Rows...)
-			}
 		case *wire.ColBatch:
 			if !sawDesc && res == nil {
 				return outcome{err: &connError{fmt.Errorf("client: row batch before row description")}}
@@ -430,10 +415,7 @@ func (c *Conn) readResponse(br *bufio.Reader, sink func(cols []string, rows [][]
 		case *wire.ParseOK:
 			return outcome{parse: m}
 		case *wire.StatsReply:
-			return outcome{stats: &Stats{
-				StatsSnapshot: m.Stats, Plans: m.Plans,
-				ActiveConns: m.ActiveConns, Legacy: m.Legacy,
-			}}
+			return outcome{stats: &Stats{StatsSnapshot: m.Stats, Plans: m.Plans, ActiveConns: m.ActiveConns}}
 		default:
 			return outcome{err: &connError{fmt.Errorf("client: unexpected frame %c", msg.Type())}}
 		}

@@ -294,11 +294,7 @@ func TestStatsFrame(t *testing.T) {
 	if after.Commits-before.Commits != 5 {
 		t.Fatalf("commit counter: before %d after %d, want +5", before.Commits, after.Commits)
 	}
-	// The client dials at the current protocol version, so the v5 tail is
-	// present: this very connection is counted.
-	if after.Legacy {
-		t.Error("current-version session should get the extended stats shape")
-	}
+	// This very connection is counted.
 	if after.ActiveConns < 1 {
 		t.Errorf("ActiveConns = %d, want ≥ 1", after.ActiveConns)
 	}

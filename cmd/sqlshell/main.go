@@ -319,15 +319,10 @@ func (b *remoteBackend) Meta(cmd string) bool {
 			fmt.Printf("wal      records %d (%d bytes) · fsyncs %d · checkpoints %d\n",
 				st.WALRecords, st.WALBytes, st.WALFsyncs, st.Checkpoints)
 		}
-		if st.Legacy {
-			fmt.Printf("plans    inlined %d · specialized %d · evictions %d\n",
-				st.Plans.PlansInlined, st.Plans.SpecializedPlans, st.Plans.CacheEvictions)
-		} else {
-			fmt.Printf("plans    inlined %d · specialized %d · evictions %d · cache hits %d misses %d\n",
-				st.Plans.PlansInlined, st.Plans.SpecializedPlans, st.Plans.CacheEvictions,
-				st.Plans.CacheHits, st.Plans.CacheMisses)
-			fmt.Printf("server   active connections %d\n", st.ActiveConns)
-		}
+		fmt.Printf("plans    inlined %d · specialized %d · evictions %d · cache hits %d misses %d\n",
+			st.Plans.PlansInlined, st.Plans.SpecializedPlans, st.Plans.CacheEvictions,
+			st.Plans.CacheHits, st.Plans.CacheMisses)
+		fmt.Printf("server   active connections %d\n", st.ActiveConns)
 	default:
 		fmt.Printf("meta command %s is not available over -connect (try \\seed, \\stats, \\q)\n", fields[0])
 	}

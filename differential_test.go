@@ -205,9 +205,7 @@ func TestDifferentialOnSessions(t *testing.T) {
 // a batch size that forces many mid-stream batch boundaries, and through
 // batch size 1 — the configuration in which every NextBatch moves exactly
 // one tuple, i.e. the legacy Volcano iteration the batch executor
-// replaced. (The Executor facade's tuple-at-a-time Next() shim is covered
-// by internal/engine's TestBatchRunVsNextShim, which pulls the same plans
-// row by row.)
+// replaced.
 func TestDifferentialBatchVsTuple(t *testing.T) {
 	for name := range workload.Corpus {
 		if _, ok := differentialGrid[name]; !ok {

@@ -17,6 +17,7 @@ import (
 	"plsqlaway/internal/plan"
 	"plsqlaway/internal/sqlparser"
 	"plsqlaway/internal/sqltypes"
+	"plsqlaway/internal/storage"
 )
 
 // batchGrid is the batch sizes each edge case runs at.
@@ -110,68 +111,67 @@ func TestBatchBoundaryEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBatchRunVsNextShim pulls the same instantiated plans once through the
-// batch path (Executor.Run) and once row-by-row through the legacy
-// tuple-at-a-time Next() shim, asserting identical row streams — the
-// facade-level differential of the batch refactor.
-func TestBatchRunVsNextShim(t *testing.T) {
-	e := newBatchTestEngine(t, 7) // odd size: every query crosses boundaries
-	s := e.NewSession()
-	for _, q := range batchEdgeQueries {
-		parsed, err := sqlparser.ParseQuery(q.sql)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", q.name, err)
-		}
-		p, err := plan.Build(s.sh.state.Load().cat, parsed, plan.Options{})
-		if err != nil {
-			t.Fatalf("%s: plan: %v", q.name, err)
-		}
-
-		exRun, err := exec.Instantiate(p, s.newCtx())
-		if err != nil {
-			t.Fatalf("%s: instantiate: %v", q.name, err)
-		}
-		batchRows, err := exRun.Run()
-		if err != nil {
-			t.Fatalf("%s: batch run: %v", q.name, err)
-		}
-		exRun.Shutdown()
-
-		exShim, err := exec.Instantiate(p, s.newCtx())
-		if err != nil {
-			t.Fatalf("%s: instantiate (shim): %v", q.name, err)
-		}
-		if err := exShim.Open(); err != nil {
-			t.Fatalf("%s: open (shim): %v", q.name, err)
-		}
-		var shimRows []string
-		for {
-			row, err := exShim.Next()
-			if err != nil {
-				t.Fatalf("%s: shim next: %v", q.name, err)
-			}
-			if row == nil {
-				break
-			}
+// TestOneResultPathDifferential runs every edge query three ways —
+// buffered (Query), streamed (QueryStream) and prepared — at batch sizes
+// 1, 7 and the default. The three must agree row for row, and each must
+// move the profile counters by the same amount: the buffered *Result is
+// the streaming path with a collecting sink, not a second path beside it.
+func TestOneResultPathDifferential(t *testing.T) {
+	type outcome struct {
+		rows            string
+		starts, queries int64
+	}
+	render := func(dst *[]string, rows []storage.Tuple) {
+		for _, r := range rows {
 			var vals []string
-			for _, v := range row {
+			for _, v := range r {
 				vals = append(vals, v.String())
 			}
-			shimRows = append(shimRows, strings.Join(vals, ","))
+			*dst = append(*dst, strings.Join(vals, ","))
 		}
-		exShim.Shutdown()
-
-		var runRows []string
-		for _, row := range batchRows {
-			var vals []string
-			for _, v := range row {
-				vals = append(vals, v.String())
+	}
+	for _, bs := range []int{1, 7, exec.DefaultBatchSize} {
+		s := newBatchTestEngine(t, bs).NewSession()
+		measure := func(name string, run func(rows *[]string) error) outcome {
+			t.Helper()
+			c := s.Counters()
+			starts, queries := c.ExecutorStarts, c.QueriesRun
+			var rows []string
+			if err := run(&rows); err != nil {
+				t.Fatalf("batch %d, %s: %v", bs, name, err)
 			}
-			runRows = append(runRows, strings.Join(vals, ","))
+			return outcome{strings.Join(rows, ";"), c.ExecutorStarts - starts, c.QueriesRun - queries}
 		}
-		if strings.Join(runRows, ";") != strings.Join(shimRows, ";") {
-			t.Errorf("%s: batch Run != Next shim\n  run:  %s\n  shim: %s",
-				q.name, strings.Join(runRows, ";"), strings.Join(shimRows, ";"))
+		for _, q := range batchEdgeQueries {
+			buffered := measure(q.name+" buffered", func(rows *[]string) error {
+				res, err := s.Query(q.sql)
+				if err == nil {
+					render(rows, res.Rows)
+				}
+				return err
+			})
+			streamed := measure(q.name+" streamed", func(rows *[]string) error {
+				return s.QueryStream(q.sql,
+					func([]string) error { return nil },
+					func(b *exec.Batch) error { render(rows, b.Rows()); return nil })
+			})
+			prepared := measure(q.name+" prepared", func(rows *[]string) error {
+				p, err := s.Prepare(q.sql)
+				if err != nil {
+					return err
+				}
+				res, err := p.Query()
+				if err == nil {
+					render(rows, res.Rows)
+				}
+				return err
+			})
+			if buffered != streamed || buffered != prepared {
+				t.Errorf("batch %d, %s:\n  buffered %+v\n  streamed %+v\n  prepared %+v", bs, q.name, buffered, streamed, prepared)
+			}
+			if buffered.starts == 0 || buffered.queries == 0 {
+				t.Errorf("batch %d, %s: counters did not move: %+v", bs, q.name, buffered)
+			}
 		}
 	}
 }

@@ -2,13 +2,11 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"plsqlaway/internal/catalog"
 	"plsqlaway/internal/exec"
-	"plsqlaway/internal/plan"
-	"plsqlaway/internal/profile"
 	"plsqlaway/internal/sqltypes"
+	"plsqlaway/internal/storage"
 )
 
 // callFunction is the executor's function-call hook. It runs inside a
@@ -54,7 +52,8 @@ func (s *Session) callFunction(f *catalog.Function, args []sqltypes.Value) (sqlt
 }
 
 // callSQLBody evaluates a SQL-bodied function: plan cached per function
-// (shared across sessions), instantiated per call.
+// (shared across sessions), instantiated per call through the same
+// execPlan every statement uses.
 func (s *Session) callSQLBody(f *catalog.Function, args []sqltypes.Value) (sqltypes.Value, error) {
 	hook := func(name string) (int, bool) {
 		for i, p := range f.Params {
@@ -64,38 +63,19 @@ func (s *Session) callSQLBody(f *catalog.Function, args []sqltypes.Value) (sqlty
 		}
 		return 0, false
 	}
-	tPlan := time.Now()
-	key := "sqlfn:" + f.Name
-	p, err := s.sh.cache.GetByText(s.cur.cat, key, f.SQLBody, plan.Options{Hook: hook, DisableLateral: s.sh.prof.DisableLateral, NoInline: s.noInline})
-	s.counters.PlanNS += time.Since(tPlan).Nanoseconds()
+	opts := s.planOpts()
+	opts.Hook = hook
+	p, err := s.cachedPlan(f.SQLBody, "sqlfn:"+f.Name, opts)
 	if err != nil {
 		return sqltypes.Null, err
 	}
-
-	tStart := time.Now()
-	ctx := s.newCtx()
-	ctx.Params = args
-	ex, err := exec.Instantiate(p, ctx)
-	if s.sh.prof.StartPenalty > 0 {
-		profile.Spin(s.sh.prof.StartPenalty * p.NodeCount)
-	}
-	s.counters.ExecStartNS += time.Since(tStart).Nanoseconds()
-	s.counters.ExecutorStarts++
+	var rows []storage.Tuple
+	_, err = s.execPlan(p, args, false, discardCols, func(b *exec.Batch) error {
+		rows = append(rows, b.Rows()...)
+		return nil
+	})
 	if err != nil {
 		return sqltypes.Null, err
-	}
-
-	tRun := time.Now()
-	rows, runErr := ex.Run()
-	s.counters.ExecRunNS += time.Since(tRun).Nanoseconds()
-	s.counters.QueriesRun++
-
-	tEnd := time.Now()
-	ex.Shutdown()
-	s.counters.ExecEndNS += time.Since(tEnd).Nanoseconds()
-
-	if runErr != nil {
-		return sqltypes.Null, runErr
 	}
 	if len(rows) == 0 {
 		return sqltypes.Null, nil

@@ -149,7 +149,7 @@ func (s *Session) PlanStats() (inlined, specialized, evictions int64) {
 }
 
 // PlanCacheStats reports the shared plan cache's hit/miss counters — the
-// wire protocol's v5 stats frame carries them to remote shells.
+// wire protocol's stats frame carries them to remote shells.
 func (s *Session) PlanCacheStats() (hits, misses int64) {
 	return s.sh.cache.Stats()
 }
@@ -271,9 +271,9 @@ func commitRecord(ts int64, ddl []wal.DDLEntry, writes []pendingWrite) *wal.Reco
 // becomes visible to concurrent readers before it is durable — after a
 // crash, recovered state is always a prefix of what readers might have
 // seen, and a superset of what WaitDurable acknowledged.
-func (s *Session) commitWrap(fn func() (*Result, error)) (*Result, error) {
+func (s *Session) commitWrap(fn func() error) error {
 	if s.pinDepth > 0 {
-		return nil, fmt.Errorf("engine: DML/DDL inside a query is not supported")
+		return fmt.Errorf("engine: DML/DDL inside a query is not supported")
 	}
 	if s.txn.active {
 		// Inside a transaction block the statement buffers under the
@@ -281,20 +281,20 @@ func (s *Session) commitWrap(fn func() (*Result, error)) (*Result, error) {
 		return s.txnWrite(fn)
 	}
 	tCommit := time.Now()
-	res, lsn, err := s.commitOnce(fn)
+	lsn, err := s.commitOnce(fn)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if lsn > 0 {
 		if err := s.sh.wal.WaitDurable(lsn); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	s.sh.noteCommitPhase(time.Since(tCommit))
 	if lsn > 0 {
 		s.sh.maybeAutoCheckpoint()
 	}
-	return res, nil
+	return nil
 }
 
 // commitOnce is commitWrap's optimistic half: it runs the statement and
@@ -307,13 +307,13 @@ func (s *Session) commitWrap(fn func() (*Result, error)) (*Result, error) {
 // visible to the caller); they surface ErrSerialization from COMMIT
 // instead (see commitTxn). Returns the LSN the caller must wait on (0
 // when nothing was logged).
-func (s *Session) commitOnce(fn func() (*Result, error)) (*Result, int64, error) {
+func (s *Session) commitOnce(fn func() error) (int64, error) {
 	for {
-		res, lsn, err := s.commitAttempt(fn)
+		lsn, err := s.commitAttempt(fn)
 		if err != nil && errors.Is(err, ErrSerialization) {
 			continue
 		}
-		return res, lsn, err
+		return lsn, err
 	}
 }
 
@@ -323,7 +323,7 @@ func (s *Session) commitOnce(fn func() (*Result, error)) (*Result, int64, error)
 // against the tip, append the WAL record, apply the heap commits,
 // publish. A validation failure returns ErrSerialization with nothing
 // applied or published.
-func (s *Session) commitAttempt(fn func() (*Result, error)) (*Result, int64, error) {
+func (s *Session) commitAttempt(fn func() error) (int64, error) {
 	// Writer window: fn buffers dead version indices, and vacuum
 	// renumbers exactly those indices — hold the vacuum gate shared from
 	// before the first read until the commit applies.
@@ -355,12 +355,11 @@ func (s *Session) commitAttempt(fn func() (*Result, error)) (*Result, int64, err
 		s.interp.Cat = s.sh.state.Load().cat
 	}()
 
-	res, err := fn()
-	if err != nil {
-		return nil, 0, err
+	if err := fn(); err != nil {
+		return 0, err
 	}
 	if s.pendingCat == nil && len(s.pendingWrites) == 0 {
-		return res, 0, nil // no-op statement: don't burn a commit timestamp
+		return 0, nil // no-op statement: don't burn a commit timestamp
 	}
 
 	s.sh.commitMu.Lock()
@@ -368,14 +367,14 @@ func (s *Session) commitAttempt(fn func() (*Result, error)) (*Result, int64, err
 	tip := s.sh.state.Load()
 	cat, err := s.validateCommit(tip, st.ts, s.pendingCat, s.pendingWrites)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	s.writeTS = tip.ts + 1
 	var lsn int64
 	if w := s.sh.wal; w != nil {
 		lsn, err = w.Append(commitRecord(s.writeTS, s.pendingDDL, s.pendingWrites))
 		if err != nil {
-			return nil, 0, err // nothing applied, nothing published: clean abort
+			return 0, err // nothing applied, nothing published: clean abort
 		}
 	}
 	for _, pw := range s.pendingWrites {
@@ -396,7 +395,7 @@ func (s *Session) commitAttempt(fn func() (*Result, error)) (*Result, int64, err
 	for _, pw := range s.pendingWrites {
 		s.maybeVacuum(pw.tbl, s.writeTS)
 	}
-	return res, lsn, nil
+	return lsn, nil
 }
 
 // validateCommit is the first-updater-wins check every commit runs under
@@ -459,199 +458,200 @@ func (s *Session) mutableCat() *catalog.Catalog {
 	return s.pendingCat
 }
 
+// A statement's rows leave the engine through a sink pair, and only
+// through one: begin receives the column names once — after the plan
+// instantiated, so plan errors produce no result header — then batch
+// receives every non-empty executor batch. A batch is valid only for the
+// duration of the call; the next pull reuses it. Both run synchronously
+// on the executor's pull loop, so a slow consumer stalls the producer:
+// peak memory for a wide scan is one batch, and backpressure propagates
+// all the way down. A sink error aborts execution and is returned.
+// Statements without rows (DDL, DML, transaction control) call neither.
+
+// collector is the buffering sink: a *Result is the streaming path with
+// its rows kept.
+type collector struct{ res *Result }
+
+func (c *collector) begin(cols []string) error {
+	c.res = &Result{Cols: cols}
+	return nil
+}
+
+func (c *collector) batch(b *exec.Batch) error {
+	c.res.Rows = append(c.res.Rows, b.Rows()...)
+	return nil
+}
+
+// done pairs the collected result (nil for statements without rows) with
+// the statement's outcome.
+func (c *collector) done(err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return c.res, nil
+}
+
+// discardCols and discardBatch are the sink of a statement whose rows
+// nobody reads.
+func discardCols([]string) error     { return nil }
+func discardBatch(*exec.Batch) error { return nil }
+
 // execStmtPinned runs one statement under the discipline its class
 // prescribes: queries on a pinned snapshot, mutations as a commit (or,
 // inside a transaction block, buffered under the block's snapshot).
 // BEGIN/COMMIT/ROLLBACK switch the session's transaction mode and are
-// legal even on an aborted block.
-func (s *Session) execStmtPinned(stmt sqlast.Statement, params []sqltypes.Value) (*Result, error) {
-	if !s.instrumented() {
-		return s.execStmtPinnedRaw(stmt, params)
-	}
-	var res *Result
-	err := s.observeStmt(
+// legal even on an aborted block. Every statement entry point funnels
+// through here, so each execution is observed (statement metrics,
+// slow-query log) exactly once. key is an optional precomputed plan-cache
+// key for a SELECT (prepared statements avoid re-deparsing).
+func (s *Session) execStmtPinned(stmt sqlast.Statement, key string, params []sqltypes.Value, begin func([]string) error, batch func(*exec.Batch) error) error {
+	return s.observeStmt(
 		func() string { return sqlast.Deparse(stmt) },
 		func() error {
-			var err error
-			res, err = s.execStmtPinnedRaw(stmt, params)
-			return err
-		})
-	return res, err
-}
-
-// execStmtPinnedRaw is execStmtPinned without the metrics shell.
-func (s *Session) execStmtPinnedRaw(stmt sqlast.Statement, params []sqltypes.Value) (*Result, error) {
-	switch x := stmt.(type) {
-	case *sqlast.Transaction:
-		return nil, s.execTxnControl(x)
-	// Savepoint statements bypass the abort gate: ROLLBACK TO is the one
-	// statement (besides COMMIT/ROLLBACK) an aborted block accepts, and
-	// the other two report their own in-block errors.
-	case *sqlast.Savepoint:
-		return nil, s.execSavepoint(x.Name)
-	case *sqlast.RollbackTo:
-		return nil, s.execRollbackTo(x.Name)
-	case *sqlast.ReleaseSavepoint:
-		return nil, s.execReleaseSavepoint(x.Name)
-	}
-	if err := s.txnGate(); err != nil {
-		return nil, err
-	}
-	if isReadOnly(stmt) {
-		end := s.beginRead()
-		defer end()
-		res, err := s.execStmt(stmt, params)
-		s.noteStmtErr(err)
-		return res, err
-	}
-	return s.commitWrap(func() (*Result, error) { return s.execStmt(stmt, params) })
-}
-
-// Exec runs a semicolon-separated SQL script (DDL, DML, and queries whose
-// results are discarded). Each statement acquires the shared lock on its
-// own, so a long script does not starve concurrent readers.
-func (s *Session) Exec(sql string) error {
-	_, err := s.Run(sql)
-	return err
-}
-
-// Run executes sql with one parse: a single statement returns its rows
-// (nil for DDL/DML), a semicolon-separated script runs statement by
-// statement with rows discarded. The wire server's simple-query
-// dispatch — no fallback path, so a failing statement never re-executes.
-func (s *Session) Run(sql string) (*Result, error) {
-	stmts, err := s.parseScript(sql)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) == 1 {
-		return s.execStmtPinned(stmts[0], nil)
-	}
-	for _, st := range stmts {
-		if _, err := s.execStmtPinned(st, nil); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
-
-// RunStream is Run's streaming twin, built for the wire server: when sql
-// is a single row-returning query, its batches flow through the callback
-// pair instead of materializing a Result — begin receives the column
-// names once the plan is instantiated (so plan errors produce a clean
-// error with no result header), then batch receives every non-empty
-// executor batch. Each batch is valid only for the duration of the call;
-// the next pull reuses it. The callbacks run synchronously on the
-// executor's pull loop, so a slow consumer stalls the producer — peak
-// memory for a wide scan is one batch, and backpressure propagates all
-// the way down. A batch error aborts execution and is returned.
-//
-// Any other statement shape — DDL, DML, transaction control, or a
-// multi-statement script — executes exactly as Run does, returning its
-// buffered Result with streamed=false and the callbacks untouched.
-func (s *Session) RunStream(sql string, begin func(cols []string) error, batch func(b *exec.Batch) error) (res *Result, streamed bool, err error) {
-	stmts, err := s.parseScript(sql)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(stmts) == 1 {
-		if sel, ok := stmts[0].(*sqlast.SelectStatement); ok {
-			if err := s.txnGate(); err != nil {
-				return nil, true, err
+			switch x := stmt.(type) {
+			case *sqlast.Transaction:
+				return s.execTxnControl(x)
+			// Savepoint statements bypass the abort gate: ROLLBACK TO is the
+			// one statement (besides COMMIT/ROLLBACK) an aborted block
+			// accepts, and the other two report their own in-block errors.
+			case *sqlast.Savepoint:
+				return s.execSavepoint(x.Name)
+			case *sqlast.RollbackTo:
+				return s.execRollbackTo(x.Name)
+			case *sqlast.ReleaseSavepoint:
+				return s.execReleaseSavepoint(x.Name)
 			}
-			end := s.beginRead()
-			defer end()
-			err := s.observeStmt(
-				func() string { return sqlast.DeparseQuery(sel.Query) },
-				func() error { return s.streamQuery(sel.Query, nil, begin, batch) })
-			s.noteStmtErr(err)
-			return nil, true, err
-		}
-		res, err := s.execStmtPinned(stmts[0], nil)
-		return res, false, err
+			if err := s.txnGate(); err != nil {
+				return err
+			}
+			var planText []string
+			var err error
+			if isReadOnly(stmt) {
+				end := s.beginRead()
+				planText, err = s.execStmt(stmt, key, params, begin, batch)
+				end()
+				s.noteStmtErr(err)
+			} else {
+				err = s.commitWrap(func() (err error) {
+					planText, err = s.execStmt(stmt, key, params, begin, batch)
+					return err
+				})
+			}
+			if err != nil || planText == nil {
+				return err
+			}
+			// EXPLAIN text is emitted once the statement is over — for
+			// EXPLAIN ANALYZE of a write, after a commit that may have
+			// retried it.
+			if err := begin([]string{"QUERY PLAN"}); err != nil {
+				return err
+			}
+			b := exec.NewBatch(len(planText))
+			for _, l := range planText {
+				b.Add(storage.Tuple{sqltypes.NewText(l)})
+			}
+			return batch(b)
+		})
+}
+
+// Exec runs a SQL statement or semicolon-separated script (see RunStream),
+// discarding any rows.
+func (s *Session) Exec(sql string) error {
+	return s.RunStream(sql, discardCols, discardBatch)
+}
+
+// Run is RunStream with the rows kept: a single statement returns its
+// rows (nil for DDL/DML), a script returns nil.
+func (s *Session) Run(sql string) (*Result, error) {
+	var c collector
+	return c.done(s.RunStream(sql, c.begin, c.batch))
+}
+
+// RunStream executes sql with one parse — the wire server's simple-query
+// dispatch; no fallback path, so a failing statement never re-executes. A
+// single statement delivers its rows (if it has any) through the sink
+// pair. A semicolon-separated script runs as one implicit transaction
+// block with rows discarded, PostgreSQL-style: its statements commit
+// together when the script ends and an error rolls all of them back, so a
+// concurrent reader sees the whole script or none of it. BEGIN inside the
+// script turns the implicit block into an explicit one (left open if the
+// script does not end it); COMMIT and ROLLBACK end the block so far, and
+// the statements after them start a new implicit one. A script run
+// inside an already open block simply joins it.
+func (s *Session) RunStream(sql string, begin func(cols []string) error, batch func(b *exec.Batch) error) error {
+	stmts, err := s.parseScript(sql)
+	if err != nil {
+		return err
 	}
+	if len(stmts) == 1 {
+		return s.execStmtPinned(stmts[0], "", nil, begin, batch)
+	}
+	// Like an autocommit statement, a script that is one implicit block
+	// from its first statement to its last retries when its commit loses
+	// a first-updater-wins race: its rows were discarded, so nobody saw
+	// the losing attempt. A script that manages transactions itself, or
+	// joins an open block, surfaces ErrSerialization like any explicit
+	// block.
+	retry := !s.txn.active
 	for _, st := range stmts {
-		if _, err := s.execStmtPinned(st, nil); err != nil {
-			return nil, false, err
+		if _, ok := st.(*sqlast.Transaction); ok {
+			retry = false
 		}
 	}
-	return nil, false, nil
+	for {
+		err := s.runBlock(stmts)
+		if !retry || !errors.Is(err, ErrSerialization) {
+			return err
+		}
+	}
+}
+
+// runBlock executes a script's statements inside its implicit transaction
+// block, opening one whenever no block is open (at the start, and again
+// after an in-script COMMIT or ROLLBACK).
+func (s *Session) runBlock(stmts []sqlast.Statement) error {
+	for _, st := range stmts {
+		if !s.txn.active {
+			if err := s.Begin(); err != nil {
+				return err
+			}
+			s.txn.implicit = true
+		}
+		if err := s.execStmtPinned(st, "", nil, discardCols, discardBatch); err != nil {
+			if s.txn.implicit {
+				s.endTxn()
+			}
+			return err
+		}
+	}
+	if s.txn.implicit {
+		return s.commitBlock()
+	}
+	return nil
 }
 
 // QueryStream runs a single row-returning query, delivering its rows
-// through the callback pair batch-at-a-time (see RunStream for the
-// callback contract). Non-query statements are rejected.
+// through the sink pair batch-at-a-time. Non-query statements are
+// rejected.
 func (s *Session) QueryStream(sql string, begin func(cols []string) error, batch func(b *exec.Batch) error, params ...sqltypes.Value) error {
 	stmt, err := s.parseStatement(sql)
 	if err != nil {
 		return err
 	}
-	sel, ok := stmt.(*sqlast.SelectStatement)
-	if !ok {
+	if _, ok := stmt.(*sqlast.SelectStatement); !ok {
 		return fmt.Errorf("engine: QueryStream needs a row-returning query, got %T", stmt)
 	}
-	if err := s.txnGate(); err != nil {
-		return err
-	}
-	end := s.beginRead()
-	defer end()
-	err = s.observeStmt(
-		func() string { return sqlast.DeparseQuery(sel.Query) },
-		func() error { return s.streamQuery(sel.Query, params, begin, batch) })
-	s.noteStmtErr(err)
-	return err
+	return s.execStmtPinned(stmt, "", params, begin, batch)
 }
 
-// streamQuery plans (via the shared cache), instantiates, and streams one
-// query's batches through the sink pair, charging the usual phase
-// buckets. The caller holds the read pin and owns error bookkeeping.
-func (s *Session) streamQuery(q *sqlast.Query, params []sqltypes.Value, begin func([]string) error, batch func(*exec.Batch) error) error {
-	tPlan := time.Now()
-	p, err := s.sh.cache.Get(s.cur.cat, q, s.planOpts())
-	s.counters.PlanNS += time.Since(tPlan).Nanoseconds()
-	if err != nil {
-		return err
-	}
-	s.notePlan(p)
-	if p.NumParams > len(params) {
-		return fmt.Errorf("engine: query needs %d parameters, got %d", p.NumParams, len(params))
-	}
-
-	tStart := time.Now()
-	ctx := s.newCtx()
-	ctx.Params = params
-	ex, err := exec.Instantiate(p, ctx)
-	if s.sh.prof.StartPenalty > 0 {
-		profile.Spin(s.sh.prof.StartPenalty * p.NodeCount)
-	}
-	s.counters.ExecStartNS += time.Since(tStart).Nanoseconds()
-	s.counters.ExecutorStarts++
-	if err != nil {
-		return err
-	}
-	if err := begin(p.Cols); err != nil {
-		ex.Shutdown()
-		return err
-	}
-
-	tRun := time.Now()
-	runErr := ex.Stream(batch)
-	s.counters.ExecRunNS += time.Since(tRun).Nanoseconds()
-	s.counters.QueriesRun++
-
-	tEnd := time.Now()
-	ex.Shutdown()
-	s.counters.ExecEndNS += time.Since(tEnd).Nanoseconds()
-	return runErr
-}
-
-// Query runs a single SQL query and returns its rows.
+// Query runs a single SQL statement and returns its rows.
 func (s *Session) Query(sql string, params ...sqltypes.Value) (*Result, error) {
 	stmt, err := s.parseStatement(sql)
 	if err != nil {
 		return nil, err
 	}
-	return s.execStmtPinned(stmt, params)
+	var c collector
+	return c.done(s.execStmtPinned(stmt, "", params, c.begin, c.batch))
 }
 
 // QueryValue runs a query expected to return one row with one column.
@@ -673,14 +673,8 @@ func singleValue(res *Result) (sqltypes.Value, error) {
 // QueryPlanned executes an already-parsed query (used by the compiler
 // pipeline and benchmarks to skip re-parsing).
 func (s *Session) QueryPlanned(q *sqlast.Query, params ...sqltypes.Value) (*Result, error) {
-	if err := s.txnGate(); err != nil {
-		return nil, err
-	}
-	end := s.beginRead()
-	defer end()
-	res, err := s.runQuery(q, params)
-	s.noteStmtErr(err)
-	return res, err
+	var c collector
+	return c.done(s.execStmtPinned(&sqlast.SelectStatement{Query: q}, "", params, c.begin, c.batch))
 }
 
 // QueryFresh plans and executes q bypassing the plan cache — the benchmark
@@ -688,29 +682,31 @@ func (s *Session) QueryPlanned(q *sqlast.Query, params ...sqltypes.Value) (*Resu
 // optimize the (possibly large, inlined) query, as the paper's Figure 11
 // measurements do.
 func (s *Session) QueryFresh(q *sqlast.Query, params ...sqltypes.Value) (*Result, error) {
-	if err := s.txnGate(); err != nil {
-		return nil, err
-	}
-	end := s.beginRead()
-	defer end()
-
-	tPlan := time.Now()
-	p, err := plan.Build(s.cur.cat, q, s.planOpts())
-	s.counters.PlanNS += time.Since(tPlan).Nanoseconds()
-	if err != nil {
-		s.noteStmtErr(err)
-		return nil, err
-	}
-	s.notePlan(p)
-	res, err := s.runPlanned(p, params)
-	s.noteStmtErr(err)
-	return res, err
+	var c collector
+	return c.done(s.observeStmt(
+		func() string { return sqlast.DeparseQuery(q) },
+		func() error {
+			if err := s.txnGate(); err != nil {
+				return err
+			}
+			end := s.beginRead()
+			defer end()
+			tPlan := time.Now()
+			p, err := plan.Build(s.cur.cat, q, s.planOpts())
+			s.counters.PlanNS += time.Since(tPlan).Nanoseconds()
+			if err == nil {
+				s.notePlan(p)
+				_, err = s.execPlan(p, params, false, c.begin, c.batch)
+			}
+			s.noteStmtErr(err)
+			return err
+		}))
 }
 
 // InstallCompiled registers a compiled function: calls evaluate the given
 // pure-SQL body (parameters $1..$n) with no interpreter involvement.
 func (s *Session) InstallCompiled(name string, params []plast.Param, ret sqltypes.Type, body *sqlast.Query) error {
-	_, err := s.commitWrap(func() (*Result, error) {
+	return s.commitWrap(func() error {
 		cat := s.mutableCat()
 		fn := &catalog.Function{
 			Name:       name,
@@ -721,31 +717,29 @@ func (s *Session) InstallCompiled(name string, params []plast.Param, ret sqltype
 			Volatile:   cat.QueryVolatile(body),
 		}
 		if err := cat.CreateFunction(fn, true); err != nil {
-			return nil, err
+			return err
 		}
 		if s.sh.wal != nil {
 			fe, err := functionEntry(fn)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s.logDDLEntry(wal.DDLEntry{Fn: fe})
 		}
-		return nil, nil
+		return nil
 	})
-	return err
 }
 
 // Prepared is a statement parsed once and executable many times on its
 // session: every execution skips parsing. For SELECT statements the
 // canonical plan-cache key is also precomputed here, so repeated reads
-// skip the deparse-to-cache-key step too; other statements (DML/DDL) go
-// through the regular dispatch and replan via the shared cache, paying a
-// deparse of any inner query per execution.
+// skip the deparse-to-cache-key step too; other statements (DML/DDL)
+// replan via the shared cache, paying a deparse of any inner query per
+// execution.
 type Prepared struct {
 	s         *Session
 	stmt      sqlast.Statement
-	query     *sqlast.Query // non-nil for read-only statements
-	cacheKey  string
+	cacheKey  string // non-empty for SELECT statements
 	numParams int
 }
 
@@ -758,7 +752,6 @@ func (s *Session) Prepare(sql string) (*Prepared, error) {
 	}
 	p := &Prepared{s: s, stmt: stmt, numParams: sqlast.StatementMaxParam(stmt)}
 	if sel, ok := stmt.(*sqlast.SelectStatement); ok {
-		p.query = sel.Query
 		p.cacheKey = sqlast.DeparseQuery(sel.Query)
 	}
 	return p, nil
@@ -772,21 +765,18 @@ func (p *Prepared) NumParams() int { return p.numParams }
 // IsQuery reports whether the prepared statement is a row-returning query
 // (as opposed to DDL/DML) — result-shape metadata the wire layer sends in
 // its parse-complete frame.
-func (p *Prepared) IsQuery() bool { return p.query != nil }
+func (p *Prepared) IsQuery() bool { return p.cacheKey != "" }
+
+// QueryStream executes the prepared statement, delivering its rows (if it
+// has any) through the sink pair — see RunStream's single-statement case.
+func (p *Prepared) QueryStream(begin func(cols []string) error, batch func(b *exec.Batch) error, params ...sqltypes.Value) error {
+	return p.s.execStmtPinned(p.stmt, p.cacheKey, params, begin, batch)
+}
 
 // Query executes the prepared statement.
 func (p *Prepared) Query(params ...sqltypes.Value) (*Result, error) {
-	if p.query != nil {
-		if err := p.s.txnGate(); err != nil {
-			return nil, err
-		}
-		end := p.s.beginRead()
-		defer end()
-		res, err := p.s.runQueryKeyed(p.cacheKey, p.query, params)
-		p.s.noteStmtErr(err)
-		return res, err
-	}
-	return p.s.execStmtPinned(p.stmt, params)
+	var c collector
+	return c.done(p.QueryStream(c.begin, c.batch, params...))
 }
 
 // QueryValue executes the prepared statement, expecting a single value.
@@ -800,16 +790,17 @@ func (p *Prepared) QueryValue(params ...sqltypes.Value) (sqltypes.Value, error) 
 
 // Exec executes the prepared statement, discarding any rows.
 func (p *Prepared) Exec(params ...sqltypes.Value) error {
-	_, err := p.Query(params...)
-	return err
+	return p.QueryStream(discardCols, discardBatch, params...)
 }
 
-// execStmt dispatches one statement. The caller holds the shared lock on
-// the side isReadOnly prescribes.
-func (s *Session) execStmt(stmt sqlast.Statement, params []sqltypes.Value) (*Result, error) {
+// execStmt dispatches one statement; the caller holds the snapshot pin
+// or commit scope isReadOnly prescribes. A SELECT streams into the sink
+// pair; EXPLAIN returns its text for the caller to emit; everything else
+// has no rows.
+func (s *Session) execStmt(stmt sqlast.Statement, key string, params []sqltypes.Value, begin func([]string) error, batch func(*exec.Batch) error) (planText []string, err error) {
 	switch stmt := stmt.(type) {
 	case *sqlast.SelectStatement:
-		return s.runQuery(stmt.Query, params)
+		return nil, s.streamQuery(stmt.Query, key, params, begin, batch)
 	case *sqlast.Explain:
 		return s.explain(stmt, params)
 	case *sqlast.CreateTable:
@@ -835,30 +826,35 @@ func (s *Session) execStmt(stmt sqlast.Statement, params []sqltypes.Value) (*Res
 
 // explain plans a query through the same cache and options execution
 // would use — so the rendered tree is exactly the plan a subsequent run
-// hits — and returns it as one text column, one operator per row. With
-// ANALYZE the query also executes to completion (rows discarded) under
-// per-node instrumentation, and each line carries its actuals.
-func (s *Session) explain(stmt *sqlast.Explain, params []sqltypes.Value) (*Result, error) {
+// hits — and returns it as text, one operator per line. With ANALYZE the
+// query also executes to completion (rows discarded) under per-node
+// instrumentation, and each line carries its actuals.
+func (s *Session) explain(stmt *sqlast.Explain, params []sqltypes.Value) ([]string, error) {
 	if stmt.Stmt != nil {
 		return s.explainDML(stmt, params)
 	}
-	p, err := s.sh.cache.Get(s.cur.cat, stmt.Query, s.planOpts())
+	p, err := s.cachedPlan(stmt.Query, "", s.planOpts())
 	if err != nil {
 		return nil, err
 	}
 	s.notePlan(p)
-	lines := p.Explain()
-	if stmt.Analyze {
-		lines, err = s.explainAnalyze(p, params)
-		if err != nil {
-			return nil, err
-		}
+	if !stmt.Analyze {
+		return p.Explain(), nil
 	}
-	rows := make([]storage.Tuple, len(lines))
-	for i, l := range lines {
-		rows[i] = storage.Tuple{sqltypes.NewText(l)}
+	// The analyzed run charges the same phase buckets a real run would,
+	// keeps one batch in memory regardless of result size, and advances
+	// the session's random stream exactly as execution does — volatile
+	// plans draw in the same order as an unanalyzed run.
+	var rows int64
+	t0 := time.Now()
+	ana, err := s.execPlan(p, params, true, discardCols, func(b *exec.Batch) error {
+		rows += int64(b.Len())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &Result{Cols: []string{"QUERY PLAN"}, Rows: rows}, nil
+	return append(ana.Lines(), fmt.Sprintf("Execution: rows=%d time=%s", rows, time.Since(t0).Round(time.Microsecond))), nil
 }
 
 // explainDML renders the access path a writer statement will use — the
@@ -867,7 +863,7 @@ func (s *Session) explain(stmt *sqlast.Explain, params []sqltypes.Value) (*Resul
 // goes through, so the shown plan is the one a run takes. With ANALYZE
 // the statement really executes (the caller put us on the write path)
 // and the lines carry its scanned/matched actuals.
-func (s *Session) explainDML(stmt *sqlast.Explain, params []sqltypes.Value) (*Result, error) {
+func (s *Session) explainDML(stmt *sqlast.Explain, params []sqltypes.Value) ([]string, error) {
 	var op, table, alias string
 	var where sqlast.Expr
 	var sets []sqlast.SetClause
@@ -907,65 +903,14 @@ func (s *Session) explainDML(stmt *sqlast.Explain, params []sqltypes.Value) (*Re
 		lines = append(lines, fmt.Sprintf("Execution: scanned=%d matched=%d time=%s",
 			s.lastDML.scanned, s.lastDML.matched, d.Round(time.Microsecond)))
 	}
-	rows := make([]storage.Tuple, len(lines))
-	for i, l := range lines {
-		rows[i] = storage.Tuple{sqltypes.NewText(l)}
-	}
-	return &Result{Cols: []string{"QUERY PLAN"}, Rows: rows}, nil
-}
-
-// explainAnalyze runs p to completion with the per-node shims interposed
-// and renders the annotated tree plus an execution summary. It charges
-// the same phase buckets a real run would — rows stream into a discard
-// sink, so peak memory is one batch regardless of result size — and,
-// because it advances the session's random stream exactly as execution
-// does, volatile plans draw in the same order as an unanalyzed run.
-func (s *Session) explainAnalyze(p *plan.Plan, params []sqltypes.Value) ([]string, error) {
-	if p.NumParams > len(params) {
-		return nil, fmt.Errorf("engine: query needs %d parameters, got %d", p.NumParams, len(params))
-	}
-	tStart := time.Now()
-	ctx := s.newCtx()
-	ctx.Params = params
-	ex, ana, err := exec.InstantiateAnalyzed(p, ctx)
-	if s.sh.prof.StartPenalty > 0 {
-		profile.Spin(s.sh.prof.StartPenalty * p.NodeCount)
-	}
-	s.counters.ExecStartNS += time.Since(tStart).Nanoseconds()
-	s.counters.ExecutorStarts++
-	if err != nil {
-		return nil, err
-	}
-
-	tRun := time.Now()
-	var rows int64
-	runErr := ex.Stream(func(b *exec.Batch) error { rows += int64(b.Len()); return nil })
-	execDur := time.Since(tRun)
-	s.counters.ExecRunNS += execDur.Nanoseconds()
-	s.counters.QueriesRun++
-
-	tEnd := time.Now()
-	ex.Shutdown()
-	s.counters.ExecEndNS += time.Since(tEnd).Nanoseconds()
-	if runErr != nil {
-		return nil, runErr
-	}
-	lines := ana.Lines()
-	lines = append(lines, fmt.Sprintf("Execution: rows=%d time=%s", rows, execDur.Round(time.Microsecond)))
 	return lines, nil
 }
 
-// runQuery plans (via the shared cache), instantiates, and runs a query,
-// charging the usual phase buckets.
-func (s *Session) runQuery(q *sqlast.Query, params []sqltypes.Value) (*Result, error) {
-	return s.runQueryKeyed("", q, params)
-}
-
-// runQueryKeyed is runQuery with an optional precomputed plan-cache key
-// (prepared statements avoid re-deparsing per execution).
-func (s *Session) runQueryKeyed(key string, q *sqlast.Query, params []sqltypes.Value) (*Result, error) {
+// cachedPlan fetches q's plan from the shared cache — under key when the
+// caller precomputed one, under q's deparse otherwise — charging the plan
+// phase.
+func (s *Session) cachedPlan(q *sqlast.Query, key string, opts plan.Options) (*plan.Plan, error) {
 	tPlan := time.Now()
-	opts := s.planOpts()
 	var p *plan.Plan
 	var err error
 	if key != "" {
@@ -974,23 +919,42 @@ func (s *Session) runQueryKeyed(key string, q *sqlast.Query, params []sqltypes.V
 		p, err = s.sh.cache.Get(s.cur.cat, q, opts)
 	}
 	s.counters.PlanNS += time.Since(tPlan).Nanoseconds()
+	return p, err
+}
+
+// streamQuery plans one of the statement's own queries and streams it
+// into the sink pair. The caller holds the read pin and owns error
+// bookkeeping.
+func (s *Session) streamQuery(q *sqlast.Query, key string, params []sqltypes.Value, begin func([]string) error, batch func(*exec.Batch) error) error {
+	p, err := s.cachedPlan(q, key, s.planOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.notePlan(p)
+	_, err = s.execPlan(p, params, false, begin, batch)
+	return err
+}
+
+// execPlan is the one place a plan becomes rows: ExecutorStart
+// (instantiate), ExecutorRun (stream every batch into the sink pair) and
+// ExecutorEnd (shutdown), each charged to its Table 1 bucket. With
+// analyze the per-node instrumentation shims ride along and the Analyzer
+// that renders their actuals is returned.
+func (s *Session) execPlan(p *plan.Plan, params []sqltypes.Value, analyze bool, begin func([]string) error, batch func(*exec.Batch) error) (*exec.Analyzer, error) {
 	if p.NumParams > len(params) {
 		return nil, fmt.Errorf("engine: query needs %d parameters, got %d", p.NumParams, len(params))
 	}
-	return s.runPlanned(p, params)
-}
-
-// runPlanned instantiates and runs an already-built plan, charging the
-// ExecutorStart / Run / End buckets.
-func (s *Session) runPlanned(p *plan.Plan, params []sqltypes.Value) (*Result, error) {
 	tStart := time.Now()
 	ctx := s.newCtx()
 	ctx.Params = params
-	ex, err := exec.Instantiate(p, ctx)
+	var ex *exec.Executor
+	var ana *exec.Analyzer
+	var err error
+	if analyze {
+		ex, ana, err = exec.InstantiateAnalyzed(p, ctx)
+	} else {
+		ex, err = exec.Instantiate(p, ctx)
+	}
 	if s.sh.prof.StartPenalty > 0 {
 		profile.Spin(s.sh.prof.StartPenalty * p.NodeCount)
 	}
@@ -999,20 +963,20 @@ func (s *Session) runPlanned(p *plan.Plan, params []sqltypes.Value) (*Result, er
 	if err != nil {
 		return nil, err
 	}
+	if err := begin(p.Cols); err != nil {
+		ex.Shutdown()
+		return nil, err
+	}
 
 	tRun := time.Now()
-	rows, runErr := ex.Run()
+	runErr := ex.Stream(batch)
 	s.counters.ExecRunNS += time.Since(tRun).Nanoseconds()
 	s.counters.QueriesRun++
 
 	tEnd := time.Now()
 	ex.Shutdown()
 	s.counters.ExecEndNS += time.Since(tEnd).Nanoseconds()
-
-	if runErr != nil {
-		return nil, runErr
-	}
-	return &Result{Cols: p.Cols, Rows: rows}, nil
+	return ana, runErr
 }
 
 // loggedDDL applies one DDL mutation and, on success, records its WAL
@@ -1118,8 +1082,8 @@ func (s *Session) insert(stmt *sqlast.Insert, params []sqltypes.Value) error {
 	if !ok {
 		return fmt.Errorf("engine: relation %q does not exist", stmt.Table)
 	}
-	res, err := s.runQuery(stmt.Query, params)
-	if err != nil {
+	var res collector
+	if err := s.streamQuery(stmt.Query, "", params, res.begin, res.batch); err != nil {
 		return err
 	}
 	colIdx := make([]int, 0, len(tbl.Cols))
@@ -1140,8 +1104,8 @@ func (s *Session) insert(stmt *sqlast.Insert, params []sqltypes.Value) error {
 	// whole statement with nothing inserted, and the single Commit stamps
 	// all rows with this statement's commit timestamp — concurrent readers
 	// see all of them or none.
-	added := make([]storage.Tuple, 0, len(res.Rows))
-	for _, row := range res.Rows {
+	added := make([]storage.Tuple, 0, len(res.res.Rows))
+	for _, row := range res.res.Rows {
 		if len(row) != len(colIdx) {
 			return fmt.Errorf("engine: INSERT has %d expressions but %d target columns", len(row), len(colIdx))
 		}

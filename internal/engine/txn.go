@@ -16,8 +16,8 @@ import (
 // or updates (first-updater-wins), or that a schema change raced the
 // tip. For explicit transaction blocks it surfaces from COMMIT — the
 // block is ended (rolled back), and callers retry the whole transaction;
-// autocommit statements retry internally on a fresh snapshot and never
-// surface it.
+// autocommit statements, and scripts that are one implicit block, retry
+// internally on a fresh snapshot and never surface it.
 var ErrSerialization = errors.New("engine: could not serialize access due to a concurrent commit (rollback and retry the transaction)")
 
 // ErrTxnAborted mirrors Postgres's 25P02: after any statement fails
@@ -58,6 +58,9 @@ type txnState struct {
 	order     []*catalog.Table // tables in first-write order, for deterministic commit
 	ddlLog    []wal.DDLEntry   // catalog deltas for the WAL commit record
 	saves     []savepointMark  // SAVEPOINT stack, innermost last
+	// implicit marks a block opened by a multi-statement script rather
+	// than by BEGIN (see RunStream): it ends with the script.
+	implicit bool
 }
 
 // InTxn reports whether the session is inside an explicit transaction
@@ -81,13 +84,17 @@ func (s *Session) DrainNotices() []string {
 
 // Begin opens a transaction block: it pins the published snapshot that
 // will serve every statement in the block. Inside an open block it is a
-// warning no-op, as in Postgres.
+// warning no-op, as in Postgres — except that a script's implicit block
+// becomes an explicit one, statements already run included.
 func (s *Session) Begin() error {
 	if s.pinDepth > 0 {
 		return fmt.Errorf("engine: BEGIN inside a query is not supported")
 	}
 	if s.txn.active {
-		s.notice("there is already a transaction in progress")
+		if !s.txn.implicit {
+			s.notice("there is already a transaction in progress")
+		}
+		s.txn.implicit = false
 		return nil
 	}
 	st := s.sh.pinState()
@@ -100,11 +107,20 @@ func (s *Session) Begin() error {
 // committed with the transaction's single write timestamp, the catalog
 // clone (if DDL ran) is installed, and one atomic state store makes it
 // all visible — concurrent readers see the whole transaction or none of
-// it. Outside a block it is a warning no-op; on an aborted block it
-// rolls back instead (Postgres semantics).
+// it. Outside a block it is a warning no-op (a script's implicit block
+// gets the warning and still commits); on an aborted block it rolls back
+// instead (Postgres semantics).
 func (s *Session) Commit() error {
-	if !s.txn.active {
+	if !s.txn.active || s.txn.implicit {
 		s.notice("there is no transaction in progress")
+	}
+	return s.commitBlock()
+}
+
+// commitBlock is Commit without the no-block warning — also how a
+// script's implicit block ends.
+func (s *Session) commitBlock() error {
+	if !s.txn.active {
 		return nil
 	}
 	if s.txn.aborted {
@@ -199,13 +215,15 @@ func (s *Session) commitTxn() (int64, error) {
 // Rollback discards the open transaction: buffered writes and the
 // catalog clone are dropped, the snapshot pin and commit lock released.
 // The heaps were never written, so storage is byte-identical to the
-// pre-BEGIN state. Outside a block it is a warning no-op.
+// pre-BEGIN state. Outside a block it is a warning no-op (a script's
+// implicit block gets the warning and still rolls back).
 func (s *Session) Rollback() error {
-	if !s.txn.active {
+	if !s.txn.active || s.txn.implicit {
 		s.notice("there is no transaction in progress")
-		return nil
 	}
-	s.endTxn()
+	if s.txn.active {
+		s.endTxn()
+	}
 	return nil
 }
 
@@ -295,16 +313,15 @@ func (s *Session) execTxnControl(stmt *sqlast.Transaction) error {
 // block's remainder), reads happen at the BEGIN snapshot with buffered
 // writes overlaid, DML helpers buffer instead of committing, and any
 // error poisons the block until ROLLBACK.
-func (s *Session) txnWrite(fn func() (*Result, error)) (*Result, error) {
+func (s *Session) txnWrite(fn func() error) error {
 	s.ensureTxnWrite()
 	end := s.beginRead() // txn-aware: shares the BEGIN pin and catalog
-	res, err := fn()
+	err := fn()
 	end()
 	if err != nil {
 		s.txn.aborted = true
-		return nil, err
 	}
-	return res, nil
+	return err
 }
 
 // maybeVacuum opportunistically vacuums a heap this commit touched,

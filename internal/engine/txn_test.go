@@ -534,3 +534,49 @@ func TestTxnRollbackNoGhostPlans(t *testing.T) {
 		t.Errorf("ghost plan for rolled-back table served: err = %v", err)
 	}
 }
+
+// TestScriptImplicitBlock pins how a multi-statement script maps onto
+// transaction blocks: one implicit block by default, explicit control
+// statements inside it honoured, an already open block joined.
+func TestScriptImplicitBlock(t *testing.T) {
+	cases := []struct {
+		name    string
+		before  string // run first, as its own call
+		script  string
+		wantErr string
+		want    int64 // count(*) another session sees afterwards
+		inTxn   bool  // the script leaves a block open
+	}{
+		{name: "commits together", script: "INSERT INTO t VALUES (1); INSERT INTO t VALUES (2)", want: 2},
+		{name: "error rolls all back", script: "INSERT INTO t VALUES (1); INSERT INTO missing VALUES (2)", wantErr: "does not exist"},
+		{name: "commit ends the block so far", script: "INSERT INTO t VALUES (1); COMMIT; INSERT INTO t VALUES (2); INSERT INTO missing VALUES (3)",
+			wantErr: "does not exist", want: 1},
+		{name: "rollback ends the block so far", script: "INSERT INTO t VALUES (1); ROLLBACK; INSERT INTO t VALUES (2)", want: 1},
+		{name: "begin adopts and stays open", script: "INSERT INTO t VALUES (1); BEGIN; INSERT INTO t VALUES (2)", inTxn: true},
+		{name: "begin commit inside", script: "BEGIN; INSERT INTO t VALUES (1); COMMIT; INSERT INTO t VALUES (2)", want: 2},
+		{name: "joins an open block", before: "BEGIN", script: "INSERT INTO t VALUES (1); INSERT INTO t VALUES (2)", inTxn: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			s, other := e.NewSession(), e.NewSession()
+			mustExec(t, s, "CREATE TABLE t (x int)")
+			if tc.before != "" {
+				mustExec(t, s, tc.before)
+			}
+			err := s.Exec(tc.script)
+			if tc.wantErr == "" && err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("err = %v, want %q", err, tc.wantErr)
+			}
+			if got := intOf(t, other, "SELECT count(*) FROM t"); got != tc.want {
+				t.Errorf("other session sees %d rows, want %d", got, tc.want)
+			}
+			if s.InTxn() != tc.inTxn {
+				t.Errorf("InTxn = %v, want %v", s.InTxn(), tc.inTxn)
+			}
+		})
+	}
+}

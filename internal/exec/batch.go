@@ -207,9 +207,9 @@ func growVals(buf []sqltypes.Value, n int) []sqltypes.Value {
 }
 
 // rowIter adapts a batch-producing node back to tuple-at-a-time pulls for
-// the consumers whose semantics are inherently lazy (subplan evaluation,
-// the Executor facade's Next shim). The batch limit chosen at construction
-// bounds over-read: a limit of 1 reproduces Volcano iteration exactly.
+// the consumers whose semantics are inherently lazy (subplan evaluation).
+// The batch limit chosen at construction bounds over-read: a limit of 1
+// reproduces Volcano iteration exactly.
 type rowIter struct {
 	node Node
 	b    *Batch

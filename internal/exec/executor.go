@@ -6,21 +6,19 @@ import (
 )
 
 // Executor is the instantiated runtime state of one plan — PostgreSQL's
-// QueryDesc/EState. Creating it (Instantiate) plus Open is the engine's
-// ExecutorStart; pulling rows is ExecutorRun; Shutdown is ExecutorEnd.
+// QueryDesc/EState. Creating it (Instantiate) is the engine's
+// ExecutorStart; pulling rows (Stream) is ExecutorRun; Shutdown is
+// ExecutorEnd.
 //
-// The node tree underneath is batch-at-a-time (NextBatch); the facade
-// offers both that interface (NextBatch/Run) and a tuple-at-a-time Next
-// shim over an internal batch, so callers written against the Volcano
-// contract — the interpreter, the engine's row loops, tests — need no
-// changes.
+// The node tree underneath is batch-at-a-time (NextBatch), and so is the
+// facade: Stream hands each batch to a sink, Run is Stream with the rows
+// kept.
 type Executor struct {
 	Plan *plan.Plan
 	root Node
 	ctx  *Ctx
 
-	shim *rowIter // Next()'s pull adapter over the root
-	buf  *Batch   // Run()'s shuttle batch
+	buf *Batch // Stream's shuttle batch
 }
 
 // Instantiate builds executor state from a (cached) plan. Like
@@ -77,59 +75,28 @@ func instantiate(p *plan.Plan, ctx *Ctx, analyze bool) (*Executor, *Analyzer, er
 		ctx.cteStores = make([]*storage.TupleStore, len(p.CTEs))
 		ctx.cteWorking = make([]*rowSet, len(p.CTEs))
 	}
-	return &Executor{
-		Plan: p, root: root, ctx: ctx,
-		shim: newRowIter(root, ctx.BatchSize),
-		buf:  NewBatch(ctx.BatchSize),
-	}, ana, nil
+	return &Executor{Plan: p, root: root, ctx: ctx, buf: NewBatch(ctx.BatchSize)}, ana, nil
 }
 
 // Ctx exposes the execution context (the engine wires hooks through it).
 func (e *Executor) Ctx() *Ctx { return e.ctx }
 
-// Open prepares the plan for scanning.
-func (e *Executor) Open() error {
-	e.shim.reset()
-	return e.root.Open(e.ctx)
-}
-
-// NextBatch fills out with the plan's next rows (empty at EOF).
-func (e *Executor) NextBatch(out *Batch) error { return e.root.NextBatch(e.ctx, out) }
-
-// Next pulls one row (nil at EOF) — the tuple-at-a-time shim over the
-// batch pipeline.
-func (e *Executor) Next() (storage.Tuple, error) { return e.shim.next(e.ctx) }
-
-// Rescan resets the plan for re-execution with the same instantiation.
-func (e *Executor) Rescan() error {
-	e.shim.reset()
-	return e.root.Rescan(e.ctx)
-}
-
-// Run opens the plan and pulls every row batch-at-a-time.
+// Run streams the plan to completion, keeping every row.
 func (e *Executor) Run() ([]storage.Tuple, error) {
-	if err := e.Open(); err != nil {
-		return nil, err
-	}
 	var out []storage.Tuple
-	for {
-		if err := e.root.NextBatch(e.ctx, e.buf); err != nil {
-			return out, err
-		}
-		if e.buf.Len() == 0 {
-			return out, nil
-		}
-		out = append(out, e.buf.Rows()...)
-	}
+	err := e.Stream(func(b *Batch) error {
+		out = append(out, b.Rows()...)
+		return nil
+	})
+	return out, err
 }
 
-// Stream opens the plan and hands each non-empty batch to fn — the
-// streaming twin of Run. The batch is valid only for the duration of the
-// call (the next pull reuses it); fn copies out whatever it keeps. Rows
-// never accumulate executor-side, so a wide scan's peak memory is one
-// batch, not the result set.
+// Stream opens the plan and hands each non-empty batch to fn. The batch
+// is valid only for the duration of the call (the next pull reuses it);
+// fn copies out whatever it keeps. Rows never accumulate executor-side,
+// so a wide scan's peak memory is one batch, not the result set.
 func (e *Executor) Stream(fn func(*Batch) error) error {
-	if err := e.Open(); err != nil {
+	if err := e.root.Open(e.ctx); err != nil {
 		return err
 	}
 	for {
@@ -159,7 +126,6 @@ func (e *Executor) Shutdown() {
 		}
 	}
 	e.root = nil
-	e.shim = nil
 	e.buf = nil
 	e.ctx.cteDefs = nil
 }

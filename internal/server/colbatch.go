@@ -5,47 +5,66 @@ import (
 	"fmt"
 
 	"plsqlaway/internal/exec"
-	"plsqlaway/internal/sqltypes"
 	"plsqlaway/internal/wire"
 )
 
-// writeBatch emits one executor batch as result frames: a single columnar
-// ColBatch for v4+ sessions (typed lanes aliased straight into the
-// encoder), a row-major RowBatch for v3 sessions. A frame whose encoding
-// exceeds the limit degrades to row-by-row RowBatch frames (v4 clients
-// decode both); a single over-limit row fails the whole response, which
-// handleQuery terminates with an Error frame.
+// writeBatch emits one executor batch as a columnar ColBatch frame, the
+// typed lanes aliased straight into the encoder.
 func (c *conn) writeBatch(b *exec.Batch) error {
-	if c.version >= wire.ColBatchVersion && b.Width() > 0 && b.Len() <= wire.MaxColBatchRows {
-		if err := colBatch(b, &c.cb); err == nil {
-			err = c.write(&c.cb)
-			if err == nil {
-				return nil
-			}
-			if !errors.Is(err, wire.ErrFrameTooLarge) {
-				return err
-			}
-		}
-	}
-	// storage.Tuple aliases []sqltypes.Value, so the materialized rows
-	// frame directly — no per-batch copy.
-	rows := b.Rows()
-	err := c.write(&wire.RowBatch{Rows: rows})
-	if err == nil {
-		return nil
-	}
-	if !errors.Is(err, wire.ErrFrameTooLarge) {
+	if err := colBatch(b, &c.cb); err != nil {
 		return err
 	}
-	for _, row := range rows {
-		if err := c.write(&wire.RowBatch{Rows: [][]sqltypes.Value{row}}); err != nil {
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				return fmt.Errorf("result row exceeds the %d-byte frame limit", wire.MaxFrameLen)
-			}
+	return c.writeRows(0, c.cb.NumRows)
+}
+
+// writeRows ships rows [lo, hi) of c.cb as one frame. A range whose
+// encoding exceeds the frame limit is halved until it fits (write checks
+// the size before emitting any bytes, so the stream stays intact); a
+// single over-limit row fails the whole response, which respondRows
+// terminates with an Error frame.
+func (c *conn) writeRows(lo, hi int) error {
+	if hi-lo <= wire.MaxColBatchRows {
+		m := &c.cb
+		if lo > 0 || hi < c.cb.NumRows {
+			m = &c.part
+			sliceCols(&c.cb, m, lo, hi)
+		}
+		if err := c.write(m); !errors.Is(err, wire.ErrFrameTooLarge) {
 			return err
 		}
 	}
-	return nil
+	if hi-lo == 1 {
+		return fmt.Errorf("result row exceeds the %d-byte frame limit", wire.MaxFrameLen)
+	}
+	mid := lo + (hi-lo)/2
+	if err := c.writeRows(lo, mid); err != nil {
+		return err
+	}
+	return c.writeRows(mid, hi)
+}
+
+// sliceCols points dst at rows [lo, hi) of src, lane by lane.
+func sliceCols(src, dst *wire.ColBatch, lo, hi int) {
+	dst.NumRows = hi - lo
+	dst.Cols = append(dst.Cols[:0], src.Cols...)
+	for i := range dst.Cols {
+		cd := &dst.Cols[i]
+		if cd.Nulls != nil {
+			cd.Nulls = cd.Nulls[lo:hi]
+		}
+		switch cd.Tag {
+		case wire.ColTagInt:
+			cd.Ints = cd.Ints[lo:hi]
+		case wire.ColTagFloat:
+			cd.Floats = cd.Floats[lo:hi]
+		case wire.ColTagBool:
+			cd.Bools = cd.Bools[lo:hi]
+		case wire.ColTagText:
+			cd.Texts = cd.Texts[lo:hi]
+		case wire.ColTagAny:
+			cd.Anys = cd.Anys[lo:hi]
+		}
+	}
 }
 
 // colBatch re-frames one executor batch as a wire ColBatch, aliasing the

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"plsqlaway/internal/engine"
-	"plsqlaway/internal/exec"
-	"plsqlaway/internal/sqltypes"
 	"plsqlaway/internal/wire"
 )
 
@@ -37,13 +35,10 @@ type conn struct {
 	// enc is the executor goroutine's scratch payload buffer, reused
 	// across response frames.
 	enc wire.Encoder
-	// version is the protocol version negotiated at startup; v3 sessions
-	// get row-major RowBatch results, v4+ get columnar ColBatch frames.
-	version uint32
-	// cb is the scratch ColBatch reused across streamed result frames —
-	// its lanes alias the executor batch, so it is valid only until the
-	// next pull.
-	cb wire.ColBatch
+	// cb and part are the scratch ColBatches reused across result frames:
+	// cb's lanes alias the executor batch (valid only until the next
+	// pull), part is the sub-range of cb a halved frame ships.
+	cb, part wire.ColBatch
 
 	// draining tells the reader to stop pulling new requests; the
 	// executor finishes what is queued and closes the connection.
@@ -124,13 +119,12 @@ func (c *conn) handshake() error {
 		c.bw.Flush()
 		return fmt.Errorf("first frame %c, want startup", msg.Type())
 	}
-	if st.Version < wire.MinProtocolVersion || st.Version > wire.ProtocolVersion {
-		msg := fmt.Sprintf("protocol version %d not supported (server speaks %d..%d)", st.Version, wire.MinProtocolVersion, wire.ProtocolVersion)
+	if st.Version != wire.ProtocolVersion {
+		msg := fmt.Sprintf("protocol version %d not supported (server speaks %d)", st.Version, wire.ProtocolVersion)
 		wire.WriteMessage(c.bw, &wire.Error{Message: msg})
 		c.bw.Flush()
 		return fmt.Errorf("version mismatch: client %d", st.Version)
 	}
-	c.version = st.Version
 	c.sess.Seed(st.Seed)
 	if err := wire.WriteMessage(c.bw, &wire.Ready{Server: c.srv.opts.Banner}); err != nil {
 		return err
@@ -185,11 +179,16 @@ func (c *conn) respond(req request) {
 	}
 	switch m := req.msg.(type) {
 	case *wire.Query:
-		c.handleQuery(m.SQL)
+		c.respondRows(c.sess.RunStream(m.SQL, c.writeDesc, c.writeBatch))
 	case *wire.Parse:
 		c.handleParse(m)
 	case *wire.Execute:
-		c.handleExecute(m)
+		p, ok := c.stmts[m.Name]
+		if !ok {
+			c.writeError(fmt.Errorf("unknown prepared statement %q", m.Name))
+			return
+		}
+		c.respondRows(p.QueryStream(c.writeDesc, c.writeBatch, m.Params...))
 	case *wire.CloseStmt:
 		delete(c.stmts, m.Name)
 		c.writeDone()
@@ -206,41 +205,32 @@ func (c *conn) respond(req request) {
 				CacheHits: hits, CacheMisses: misses,
 			},
 			ActiveConns: c.srv.ConnCount(),
-			// Pre-v5 clients expect the 14-field frame; the tail would be
-			// trailing garbage to them.
-			Legacy: c.version < wire.ExtendedStatsVersion,
 		})
 	default:
 		c.writeError(fmt.Errorf("unexpected frame %c from client", req.msg.Type()))
 	}
 }
 
-// handleQuery runs one statement or a semicolon-separated script.
-// Session.RunStream parses once and dispatches by shape, so a statement
-// that fails during execution is never re-executed by a fallback path. A
-// single row-returning query streams: the server pulls executor batches
-// and writes each as a frame the moment it is produced, so a wide scan's
-// peak server memory is one batch — never the whole result — and a slow
-// client throttles the executor through TCP backpressure. Everything
-// else (DDL, DML, scripts) returns its buffered result as before. An
-// execution error mid-stream terminates the response with an Error frame
-// after whatever batches already went out; the client discards partials.
-func (c *conn) handleQuery(sql string) {
-	res, streamed, err := c.sess.RunStream(sql,
-		func(cols []string) error { return c.write(&wire.RowDesc{Cols: cols}) },
-		func(b *exec.Batch) error { return c.writeBatch(b) },
-	)
+// respondRows finishes a Query or Execute response. Both ran through the
+// same engine path with writeDesc/writeBatch as the sink, so whatever
+// rows the statement had — a SELECT's, EXPLAIN text — already went out,
+// one frame per executor batch the moment it was produced: a wide scan's
+// peak server memory is one batch, never the whole result, and a slow
+// client throttles the executor through TCP backpressure. Statements
+// without rows (DDL, DML, scripts) wrote nothing. What remains is the
+// notices and the terminator; an execution error mid-stream ends the
+// response with an Error frame after whatever batches already went out,
+// and the client discards the partial result.
+func (c *conn) respondRows(err error) {
 	c.writeNotices()
 	if err != nil {
 		c.writeError(err)
 		return
 	}
-	if streamed {
-		c.writeDone()
-		return
-	}
-	c.writeResult(res)
+	c.writeDone()
 }
+
+func (c *conn) writeDesc(cols []string) error { return c.write(&wire.RowDesc{Cols: cols}) }
 
 // writeNotices streams the session's pending NOTICE messages (RAISE
 // NOTICE output, transaction-control warnings) ahead of the response
@@ -259,59 +249,6 @@ func (c *conn) handleParse(m *wire.Parse) {
 	}
 	c.stmts[m.Name] = p
 	c.write(&wire.ParseOK{Name: m.Name, NumParams: uint32(p.NumParams()), IsQuery: p.IsQuery()})
-}
-
-func (c *conn) handleExecute(m *wire.Execute) {
-	p, ok := c.stmts[m.Name]
-	if !ok {
-		c.writeError(fmt.Errorf("unknown prepared statement %q", m.Name))
-		return
-	}
-	res, err := p.Query(m.Params...)
-	c.writeNotices()
-	if err != nil {
-		c.writeError(err)
-		return
-	}
-	c.writeResult(res)
-}
-
-// writeResult streams a result: RowDesc, RowBatch chunks of at most
-// Options.RowBatch rows (the executor's batch framing carried onto the
-// wire), then Done. A nil result (DDL/DML) is just Done. A chunk whose
-// encoding exceeds the frame limit retries row by row (WriteFrame
-// checks the size before emitting any bytes, so the stream stays
-// intact); a single over-limit row terminates the response with an
-// Error frame rather than a silently truncated result.
-func (c *conn) writeResult(res *engine.Result) {
-	if res == nil {
-		c.writeDone()
-		return
-	}
-	c.write(&wire.RowDesc{Cols: res.Cols})
-	size := c.srv.opts.RowBatch
-	for off := 0; off < len(res.Rows); off += size {
-		end := off + size
-		if end > len(res.Rows) {
-			end = len(res.Rows)
-		}
-		// storage.Tuple aliases []sqltypes.Value, so the result rows
-		// chunk straight into frames — no per-batch copy.
-		if err := c.write(&wire.RowBatch{Rows: res.Rows[off:end]}); err != nil {
-			if !errors.Is(err, wire.ErrFrameTooLarge) {
-				return // I/O failure: the connection is gone, stop writing
-			}
-			for _, row := range res.Rows[off:end] {
-				if err := c.write(&wire.RowBatch{Rows: [][]sqltypes.Value{row}}); err != nil {
-					if errors.Is(err, wire.ErrFrameTooLarge) {
-						c.writeError(fmt.Errorf("result row exceeds the %d-byte frame limit", wire.MaxFrameLen))
-					}
-					return
-				}
-			}
-		}
-	}
-	c.writeDone()
 }
 
 // write emits one frame; failures are logged and returned so response

@@ -17,9 +17,8 @@ import (
 var frameTypes = []byte{
 	wire.TypeStartup, wire.TypeQuery, wire.TypeParse, wire.TypeExecute,
 	wire.TypeCloseStmt, wire.TypeSeed, wire.TypeStatsReq, wire.TypeTerminate,
-	wire.TypeReady, wire.TypeRowDesc, wire.TypeRowBatch, wire.TypeColBatch,
-	wire.TypeDone, wire.TypeError, wire.TypeParseOK, wire.TypeStatsReply,
-	wire.TypeNotice,
+	wire.TypeReady, wire.TypeRowDesc, wire.TypeColBatch, wire.TypeDone,
+	wire.TypeError, wire.TypeParseOK, wire.TypeStatsReply, wire.TypeNotice,
 }
 
 // srvMetrics holds the server's pre-resolved metric handles.

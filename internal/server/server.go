@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"plsqlaway/internal/engine"
-	"plsqlaway/internal/wire"
 )
 
 // Options tunes a Server. The zero value is production-ready.
@@ -26,9 +25,6 @@ type Options struct {
 	// may buffer ahead of execution — the pipelining window. Beyond it
 	// the reader stops reading, applying TCP backpressure. Default 128.
 	QueueDepth int
-	// RowBatch is the number of rows per RowBatch response frame.
-	// Default wire.DefaultRowBatch.
-	RowBatch int
 	// DrainGrace is how long a draining connection keeps reading requests
 	// that were already on the wire when shutdown began; everything read
 	// within the window is executed and answered. Default 100ms.
@@ -43,9 +39,6 @@ func (o *Options) defaults() {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 128
-	}
-	if o.RowBatch <= 0 {
-		o.RowBatch = wire.DefaultRowBatch
 	}
 	if o.DrainGrace <= 0 {
 		o.DrainGrace = 100 * time.Millisecond

@@ -3,8 +3,12 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
+	"fmt"
 	"net"
+	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,19 +17,14 @@ import (
 	"plsqlaway/internal/wire"
 )
 
-// msgRows extracts the rows of a result frame in either encoding: v4
-// sessions stream columnar ColBatch frames, v3 (and the buffered
-// prepared-statement path) row-major RowBatch frames.
+// msgRows extracts the rows of a result frame.
 func msgRows(t *testing.T, msg wire.Message) [][]sqltypes.Value {
 	t.Helper()
-	switch m := msg.(type) {
-	case *wire.RowBatch:
-		return m.Rows
-	case *wire.ColBatch:
-		return m.Rows()
+	cb, ok := msg.(*wire.ColBatch)
+	if !ok {
+		t.Fatalf("want a result frame, got %#v", msg)
 	}
-	t.Fatalf("want a result frame, got %#v", msg)
-	return nil
+	return cb.Rows()
 }
 
 // start returns a served listener plus a cleanup-registered shutdown.
@@ -74,58 +73,6 @@ func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader, *bufio.Writer)
 	return nc, br, bw
 }
 
-// TestV3ClientGetsRowMajorResults pins the downgrade path: a session
-// negotiated at the previous protocol version must never see a ColBatch
-// frame — results arrive as row-major RowBatch chunks, still streamed
-// batch by batch.
-func TestV3ClientGetsRowMajorResults(t *testing.T) {
-	addr := start(t)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nc.Close() })
-	br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
-	wire.WriteMessage(bw, &wire.Startup{Version: wire.MinProtocolVersion, Seed: 42})
-	bw.Flush()
-	if msg, err := wire.ReadMessage(br); err != nil {
-		t.Fatal(err)
-	} else if _, ok := msg.(*wire.Ready); !ok {
-		t.Fatalf("v%d handshake answered %#v", wire.MinProtocolVersion, msg)
-	}
-
-	wire.WriteMessage(bw, &wire.Query{SQL: "WITH RECURSIVE g(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM g WHERE i < 50) SELECT i, i * 2 FROM g"})
-	bw.Flush()
-	if msg, err := wire.ReadMessage(br); err != nil {
-		t.Fatal(err)
-	} else if _, ok := msg.(*wire.RowDesc); !ok {
-		t.Fatalf("want row desc, got %#v", msg)
-	}
-	rows := 0
-	for {
-		msg, err := wire.ReadMessage(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, done := msg.(*wire.Done); done {
-			break
-		}
-		rb, ok := msg.(*wire.RowBatch)
-		if !ok {
-			t.Fatalf("v3 session got %#v", msg)
-		}
-		for _, r := range rb.Rows {
-			if r[1].Int() != 2*r[0].Int() {
-				t.Fatalf("bad row %v", r)
-			}
-		}
-		rows += len(rb.Rows)
-	}
-	if rows != 50 {
-		t.Fatalf("rows = %d, want 50", rows)
-	}
-}
-
 // TestStreamedErrorTerminates pins mid-stream failure framing: when a
 // query dies after batches already went out, the response must end with
 // an Error frame (not Done), and the connection must keep serving.
@@ -148,7 +95,7 @@ func TestStreamedErrorTerminates(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch m := msg.(type) {
-		case *wire.ColBatch, *wire.RowBatch:
+		case *wire.ColBatch:
 		case *wire.Error:
 			if !strings.Contains(m.Message, "division by zero") {
 				t.Fatalf("got error %q", m.Message)
@@ -183,23 +130,28 @@ func mustRead(t *testing.T, br *bufio.Reader) wire.Message {
 	return m
 }
 
+// TestVersionMismatchRejected: there is one protocol version; every other
+// startup — the three retired versions and the next one — is refused
+// with a version Error.
 func TestVersionMismatchRejected(t *testing.T) {
 	addr := start(t)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	bw := bufio.NewWriter(nc)
-	wire.WriteMessage(bw, &wire.Startup{Version: wire.ProtocolVersion + 7, Seed: 1})
-	bw.Flush()
-	msg, err := wire.ReadMessage(bufio.NewReader(nc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := msg.(*wire.Error)
-	if !ok || !strings.Contains(e.Message, "version") {
-		t.Fatalf("got %#v", msg)
+	for _, v := range []uint32{3, 4, 5, 7} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw := bufio.NewWriter(nc)
+		wire.WriteMessage(bw, &wire.Startup{Version: v, Seed: 1})
+		bw.Flush()
+		msg, err := wire.ReadMessage(bufio.NewReader(nc))
+		nc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok := msg.(*wire.Error)
+		if !ok || !strings.Contains(e.Message, "version") {
+			t.Fatalf("startup v%d got %#v", v, msg)
+		}
 	}
 }
 
@@ -223,7 +175,7 @@ func TestMalformedPayloadAnsweredInOrder(t *testing.T) {
 		}
 		return m
 	}
-	// Response 1: RowDesc, RowBatch, Done.
+	// Response 1: RowDesc, ColBatch, Done.
 	if _, ok := read().(*wire.RowDesc); !ok {
 		t.Fatal("want row desc")
 	}
@@ -302,8 +254,8 @@ func TestScriptVsQueryDispatch(t *testing.T) {
 	if e, ok := msg.(*wire.Error); !ok || !strings.Contains(e.Message, "does not exist") {
 		t.Fatalf("got %#v", msg)
 	}
-	// The first statement of the failing script committed (scripts are
-	// per-statement, like the embedded Session.Exec).
+	// The failing script was one implicit transaction block: its first
+	// statement rolled back with it.
 	wire.WriteMessage(bw, &wire.Query{SQL: "SELECT count(*) FROM t"})
 	bw.Flush()
 	desc, err := wire.ReadMessage(br)
@@ -317,78 +269,212 @@ func TestScriptVsQueryDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := msgRows(t, rb)[0][0].Int(); got != 3 {
-		t.Fatalf("count = %d, want 3", got)
+	if got := msgRows(t, rb)[0][0].Int(); got != 2 {
+		t.Fatalf("count = %d, want 2", got)
 	}
 }
 
-func TestLargeResultChunking(t *testing.T) {
-	// Batch size 16 bounds the streamed path's frame granularity (simple
-	// queries ship one frame per executor batch); RowBatch 16 bounds the
-	// buffered prepared-statement path the same way.
+// response is one drained Query or Execute response.
+type response struct {
+	hasDesc bool
+	rows    []string // one rendered line per row
+	batches int
+	notices []string
+	err     string // the Error frame's message; "" when the response ended with Done
+}
+
+// drain reads one response to its terminator. Only RowDesc, ColBatch,
+// Notice, Done and Error may appear, and rows only after their RowDesc.
+func drain(t *testing.T, br *bufio.Reader) response {
+	t.Helper()
+	var r response
+	for {
+		switch m := mustRead(t, br).(type) {
+		case *wire.RowDesc:
+			if r.hasDesc || r.batches > 0 {
+				t.Fatalf("misplaced RowDesc %v", m.Cols)
+			}
+			r.hasDesc = true
+			r.rows = append(r.rows, strings.Join(m.Cols, "|"))
+		case *wire.ColBatch:
+			if !r.hasDesc {
+				t.Fatal("ColBatch before RowDesc")
+			}
+			r.batches++
+			for _, row := range m.Rows() {
+				vals := make([]string, len(row))
+				for i, v := range row {
+					vals[i] = v.String()
+				}
+				r.rows = append(r.rows, strings.Join(vals, "|"))
+			}
+		case *wire.Notice:
+			r.notices = append(r.notices, m.Message)
+		case *wire.Done:
+			return r
+		case *wire.Error:
+			r.err = m.Message
+			return r
+		default:
+			t.Fatalf("frame %T inside a response", m)
+		}
+	}
+}
+
+// TestEveryShapeOneResultPath drives every statement shape through both
+// request kinds — a Query frame, and Parse + Execute — and demands the
+// same answer from both: the same rows in the same order, the same
+// notices, the same error, all of it in RowDesc/ColBatch/Notice/Done/Error
+// frames only.
+func TestEveryShapeOneResultPath(t *testing.T) {
+	// Batch size 16 makes "wider than one batch" cheap to reach.
 	e := engine.New(engine.WithSeed(42), engine.WithBatchSize(16))
-	srv := New(e, Options{RowBatch: 16})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	var vals []string
+	for i := 1; i <= 100; i++ {
+		vals = append(vals, fmt.Sprintf("(%d)", i))
+	}
+	if err := e.Exec("CREATE TABLE seq (n int); CREATE TABLE sink (x int); INSERT INTO seq VALUES " + strings.Join(vals, ", ")); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-done
+	_, addr := startEngine(t, e)
+	_, br, bw := rawConn(t, addr)
+
+	timeField := regexp.MustCompile(`time=\S+`)
+	cases := []struct {
+		name       string
+		sql        string           // sent as a Query frame
+		prep       string           // sent as Parse; defaults to sql
+		params     []sqltypes.Value // sent with Execute
+		wantRows   int              // data rows expected; -1 for a response without a result
+		minBatches int
+		wantErr    string // substring of the terminating Error
+		wantNotice string
+		parseFails bool // Parse must refuse the text (Execute is skipped)
+	}{
+		{name: "select", sql: "SELECT n, n * 2 FROM seq WHERE n <= 3 ORDER BY n", wantRows: 3},
+		{name: "explain", sql: "EXPLAIN SELECT n FROM seq WHERE n = 3", wantRows: 4},
+		{name: "explain analyze", sql: "EXPLAIN ANALYZE SELECT count(*) FROM seq", wantRows: 5},
+		{name: "dml", sql: "UPDATE seq SET n = n WHERE n = 100", wantRows: -1},
+		{name: "notice", sql: "COMMIT", wantRows: -1, wantNotice: "no transaction in progress"},
+		{name: "script", sql: "INSERT INTO sink VALUES (1); INSERT INTO sink VALUES (2)", wantRows: -1, parseFails: true},
+		{name: "prepared select", sql: "SELECT n FROM seq WHERE n < 5 ORDER BY n",
+			prep: "SELECT n FROM seq WHERE n < $1 ORDER BY n", params: []sqltypes.Value{sqltypes.NewInt(5)}, wantRows: 4},
+		{name: "prepared dml", sql: "INSERT INTO sink VALUES (7)",
+			prep: "INSERT INTO sink VALUES ($1)", params: []sqltypes.Value{sqltypes.NewInt(7)}, wantRows: -1},
+		{name: "mid-stream error", sql: "SELECT n / (50 - n) FROM seq", wantRows: 48, minBatches: 3, wantErr: "division by zero"},
+		{name: "wider than one batch", sql: "SELECT n FROM seq", wantRows: 100, minBatches: 7},
+		// 16 rows of 2 MB: one executor batch, twice the frame limit.
+		{name: "batch halved to fit", sql: "SELECT n, repeat('x', 2000000) FROM seq WHERE n <= 16", wantRows: 16, minBatches: 2},
+		{name: "single over-limit row", sql: "SELECT repeat('x', 17000000)", wantRows: 0, wantErr: "frame limit"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(via string, r response) {
+				t.Helper()
+				if tc.wantErr == "" && r.err != "" {
+					t.Fatalf("%s: error %q", via, r.err)
+				}
+				if !strings.Contains(r.err, tc.wantErr) {
+					t.Fatalf("%s: error %q, want %q", via, r.err, tc.wantErr)
+				}
+				if want := tc.wantRows >= 0; r.hasDesc != want {
+					t.Fatalf("%s: RowDesc sent = %v, want %v", via, r.hasDesc, want)
+				}
+				if tc.wantRows >= 0 && len(r.rows)-1 != tc.wantRows {
+					t.Fatalf("%s: %d rows, want %d", via, len(r.rows)-1, tc.wantRows)
+				}
+				if r.batches < tc.minBatches {
+					t.Fatalf("%s: %d ColBatch frames, want ≥ %d", via, r.batches, tc.minBatches)
+				}
+				if tc.wantNotice != "" && (len(r.notices) != 1 || !strings.Contains(r.notices[0], tc.wantNotice)) {
+					t.Fatalf("%s: notices %q, want one with %q", via, r.notices, tc.wantNotice)
+				}
+			}
+			wire.WriteMessage(bw, &wire.Query{SQL: tc.sql})
+			bw.Flush()
+			simple := drain(t, br)
+			check("Query", simple)
+
+			prep := tc.prep
+			if prep == "" {
+				prep = tc.sql
+			}
+			wire.WriteMessage(bw, &wire.Parse{Name: "s", SQL: prep})
+			bw.Flush()
+			switch m := mustRead(t, br).(type) {
+			case *wire.ParseOK:
+				if tc.parseFails {
+					t.Fatal("Parse accepted a multi-statement script")
+				}
+			case *wire.Error:
+				if !tc.parseFails {
+					t.Fatalf("Parse: %s", m.Message)
+				}
+				return
+			default:
+				t.Fatalf("Parse answered %T", m)
+			}
+			wire.WriteMessage(bw, &wire.Execute{Name: "s", Params: tc.params})
+			bw.Flush()
+			prepared := drain(t, br)
+			check("Execute", prepared)
+
+			a := timeField.ReplaceAllString(strings.Join(simple.rows, "\n"), "time=")
+			b := timeField.ReplaceAllString(strings.Join(prepared.rows, "\n"), "time=")
+			if a != b {
+				t.Fatalf("Query and Execute disagree:\n%.2000s\n--- vs ---\n%.2000s", a, b)
+			}
+		})
+	}
+}
+
+// TestScriptIsAtomicOverTheWire: statements sent as one Query frame form
+// an implicit transaction block, so a concurrent reader never finds the
+// table the script created without the rows the script inserted.
+func TestScriptIsAtomicOverTheWire(t *testing.T) {
+	addr := start(t)
+	_, wbr, wbw := rawConn(t, addr)
+	_, rbr, rbw := rawConn(t, addr)
+
+	var stop atomic.Bool
+	writerDone := make(chan error, 1)
+	go func() {
+		defer stop.Store(true)
+		for i := 0; i < 40; i++ {
+			for _, sql := range []string{
+				"CREATE TABLE phantom (x int); INSERT INTO phantom VALUES (1), (2), (3)",
+				"DROP TABLE phantom",
+			} {
+				if err := wire.WriteMessage(wbw, &wire.Query{SQL: sql}); err != nil {
+					writerDone <- err
+					return
+				}
+				wbw.Flush()
+				msg, err := wire.ReadMessage(wbr)
+				if err != nil {
+					writerDone <- err
+					return
+				}
+				if em, ok := msg.(*wire.Error); ok {
+					writerDone <- errors.New(em.Message)
+					return
+				}
+			}
+		}
+		writerDone <- nil
 	}()
-
-	const gen = "WITH RECURSIVE g(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM g WHERE i < 100) SELECT i FROM g"
-	_, br, bw := rawConn(t, ln.Addr().String())
-	drain := func(wantColumnar bool) (batches, rows int) {
-		t.Helper()
-		desc, err := wire.ReadMessage(br)
-		if err != nil {
-			t.Fatal(err)
+	for !stop.Load() {
+		wire.WriteMessage(rbw, &wire.Query{SQL: "SELECT count(*) FROM phantom"})
+		rbw.Flush()
+		r := drain(t, rbr)
+		if strings.Contains(r.err, "does not exist") {
+			continue
 		}
-		if _, ok := desc.(*wire.RowDesc); !ok {
-			t.Fatalf("want row desc, got %#v", desc)
-		}
-		for {
-			msg, err := wire.ReadMessage(br)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, okDone := msg.(*wire.Done); okDone {
-				return batches, rows
-			}
-			if _, ok := msg.(*wire.ColBatch); ok != wantColumnar {
-				t.Fatalf("columnar=%v frame on a wantColumnar=%v path", ok, wantColumnar)
-			}
-			chunk := msgRows(t, msg)
-			if len(chunk) > 16 {
-				t.Fatalf("batch of %d rows exceeds configured chunk 16", len(chunk))
-			}
-			batches++
-			rows += len(chunk)
+		if r.err != "" || len(r.rows) != 2 || r.rows[1] != "3" {
+			t.Fatalf("reader saw %+v, want count 3 or no table", r)
 		}
 	}
-
-	// Streamed simple query: columnar frames, one per executor batch.
-	wire.WriteMessage(bw, &wire.Query{SQL: gen})
-	bw.Flush()
-	if batches, rows := drain(true); rows != 100 || batches < 7 {
-		t.Fatalf("rows=%d batches=%d, want 100 rows in ≥7 chunks", rows, batches)
-	}
-
-	// Buffered prepared-statement path: row-major frames of Options.RowBatch.
-	wire.WriteMessage(bw, &wire.Parse{Name: "g", SQL: gen})
-	wire.WriteMessage(bw, &wire.Execute{Name: "g"})
-	bw.Flush()
-	if msg, err := wire.ReadMessage(br); err != nil {
+	if err := <-writerDone; err != nil {
 		t.Fatal(err)
-	} else if _, ok := msg.(*wire.ParseOK); !ok {
-		t.Fatalf("parse answered %#v", msg)
-	}
-	if batches, rows := drain(false); rows != 100 || batches < 7 {
-		t.Fatalf("prepared: rows=%d batches=%d, want 100 rows in ≥7 chunks", rows, batches)
 	}
 }

@@ -1,19 +1,21 @@
 package server
 
-// Wire-level observability tests: the StatsReply version negotiation
-// (v5 extended tail vs the legacy shape pre-v5 clients expect) and the
+// Wire-level observability tests: the StatsReply round trip and the
 // server's traffic metrics.
 
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"plsqlaway/internal/engine"
 	"plsqlaway/internal/obs"
+	"plsqlaway/internal/sqltypes"
 	"plsqlaway/internal/wire"
 )
 
@@ -39,30 +41,6 @@ func startEngine(t *testing.T, e *engine.Engine) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
-// rawConnAt dials and completes the handshake at a chosen protocol
-// version.
-func rawConnAt(t *testing.T, addr string, version uint32) (*bufio.Reader, *bufio.Writer) {
-	t.Helper()
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nc.Close() })
-	br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
-	if err := wire.WriteMessage(bw, &wire.Startup{Version: version, Seed: 42}); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
-	msg, err := wire.ReadMessage(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := msg.(*wire.Ready); !ok {
-		t.Fatalf("handshake answered %T", msg)
-	}
-	return br, bw
-}
-
 func statsRoundTrip(t *testing.T, br *bufio.Reader, bw *bufio.Writer) *wire.StatsReply {
 	t.Helper()
 	if err := wire.WriteMessage(bw, &wire.StatsRequest{}); err != nil {
@@ -80,28 +58,13 @@ func statsRoundTrip(t *testing.T, br *bufio.Reader, bw *bufio.Writer) *wire.Stat
 	return st
 }
 
-// TestStatsReplyVersionNegotiation pins both directions of the v5 frame
-// growth: a v4 session gets the legacy 14-field shape (and its decoder
-// reports Legacy), a v5 session gets the extended tail with the live
+// TestStatsReplyCountsConnections: the stats frame carries the live
 // connection count.
-func TestStatsReplyVersionNegotiation(t *testing.T) {
+func TestStatsReplyCountsConnections(t *testing.T) {
 	_, addr := startEngine(t, engine.New(engine.WithSeed(42)))
-
-	br4, bw4 := rawConnAt(t, addr, 4)
-	st := statsRoundTrip(t, br4, bw4)
-	if !st.Legacy {
-		t.Error("v4 session should receive the legacy StatsReply shape")
-	}
-	if st.ActiveConns != 0 || st.Plans.CacheHits != 0 {
-		t.Errorf("legacy reply must not carry v5 fields: %+v", st)
-	}
-
-	br5, bw5 := rawConnAt(t, addr, 5)
-	st = statsRoundTrip(t, br5, bw5)
-	if st.Legacy {
-		t.Error("v5 session should receive the extended StatsReply shape")
-	}
-	if st.ActiveConns < 2 {
+	rawConn(t, addr)
+	_, br, bw := rawConn(t, addr)
+	if st := statsRoundTrip(t, br, bw); st.ActiveConns < 2 {
 		t.Errorf("ActiveConns = %d, want ≥ 2 (both test connections open)", st.ActiveConns)
 	}
 }
@@ -118,7 +81,7 @@ func TestServerTrafficMetrics(t *testing.T) {
 	}
 	srv, addr := startEngine(t, e)
 
-	br, bw := rawConnAt(t, addr, wire.ProtocolVersion)
+	_, br, bw := rawConn(t, addr)
 	if err := wire.WriteMessage(bw, &wire.Query{SQL: "SELECT n FROM t ORDER BY n"}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,5 +141,50 @@ func TestServerTrafficMetrics(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("text render missing %s:\n%s", want, sb.String())
 		}
+	}
+}
+
+// TestPreparedSelectIsObserved: a prepared SELECT executed over the wire
+// goes through the same observed statement path as everything else — it
+// counts as a statement and can trip the slow-query log.
+func TestPreparedSelectIsObserved(t *testing.T) {
+	reg := obs.NewRegistry()
+	var mu sync.Mutex
+	var slow []string
+	e := engine.New(engine.WithSeed(42), engine.WithMetricsRegistry(reg),
+		engine.WithSlowQuery(time.Nanosecond, func(format string, args ...any) {
+			mu.Lock()
+			slow = append(slow, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}))
+	statements := func() float64 {
+		for _, m := range reg.Gather() {
+			if m.Name == "plsql_engine_statements_total" {
+				return *m.Samples[0].Value
+			}
+		}
+		t.Fatal("no statements_total series")
+		return 0
+	}
+	_, addr := startEngine(t, e)
+	_, br, bw := rawConn(t, addr)
+	wire.WriteMessage(bw, &wire.Parse{Name: "p", SQL: "SELECT $1 + 41"})
+	bw.Flush()
+	if _, ok := mustRead(t, br).(*wire.ParseOK); !ok {
+		t.Fatal("parse refused")
+	}
+	before := statements()
+	wire.WriteMessage(bw, &wire.Execute{Name: "p", Params: []sqltypes.Value{sqltypes.NewInt(1)}})
+	bw.Flush()
+	if r := drain(t, br); r.err != "" || len(r.rows) != 2 || r.rows[1] != "42" {
+		t.Fatalf("execute answered %+v", r)
+	}
+	if got := statements() - before; got != 1 {
+		t.Errorf("statements_total moved by %v for one prepared SELECT, want 1", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(slow) != 1 || !strings.Contains(slow[0], "slow query:") || !strings.Contains(slow[0], "+ 41") {
+		t.Errorf("slow-query log = %q, want one line naming the prepared SELECT", slow)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"plsqlaway/internal/sqltypes"
 )
 
-// ColBatch is the protocol-v4 result chunk: one executor batch shipped
+// ColBatch is the result chunk — the only one: one executor batch shipped
 // column-at-a-time as unboxed typed arrays instead of kind-tagged values.
 // A homogeneous column costs 8 bytes per int/float (1 bit per bool) with
 // no per-value tag byte, and the server can alias the executor's column
@@ -246,8 +246,8 @@ func (d *Decoder) anyLane(n int) []sqltypes.Value {
 }
 
 // Rows boxes the batch back into row-major tuples — the client-side
-// bridge that keeps materialized Query results identical in value terms
-// to the row-major encoding. One backing allocation serves all rows.
+// bridge from typed lanes to a materialized Result. One backing
+// allocation serves all rows.
 func (m *ColBatch) Rows() [][]sqltypes.Value {
 	n, w := m.NumRows, len(m.Cols)
 	if n == 0 {

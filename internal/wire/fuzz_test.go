@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -23,17 +24,28 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00})
 	f.Add([]byte{'Q', 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{'E', 0x00, 0x00, 0x00, 0x02, 0x01, 's'})
-	f.Add([]byte{'d', 0x00, 0x00, 0x00, 0x03, 0xFF, 0xFF, 0x7F})
 	// Columnar frames: lying row count, rows with no columns to bound
 	// them, truncated typed lane, null column missing its bitmap.
 	f.Add([]byte{'b', 0x00, 0x00, 0x00, 0x06, 0xFF, 0xFF, 0xFF, 0x7F, 0x01, 0x01})
 	f.Add([]byte{'b', 0x00, 0x00, 0x00, 0x03, 0xE8, 0x07, 0x00})
 	f.Add([]byte{'b', 0x00, 0x00, 0x00, 0x07, 0x10, 0x01, 0x01, 0x00, 0x00, 0x01, 0x02})
 	f.Add([]byte{'b', 0x00, 0x00, 0x00, 0x04, 0x04, 0x01, 0x05, 0x00})
-	// v5 additions: an EXPLAIN ANALYZE query text, and StatsReply payloads
-	// around the legacy/extended boundary — exactly legacy-length (must
-	// decode with Legacy set), and legacy plus a partial tail (must error,
-	// not mis-frame).
+	// A zero-column batch (legal only when empty) and one executor batch
+	// as the server ships it after halving: two frames back to back.
+	{
+		var buf bytes.Buffer
+		halves := []Message{
+			&ColBatch{},
+			&ColBatch{NumRows: 2, Cols: []ColData{{Tag: ColTagInt, Ints: []int64{1, 2}}, {Tag: ColTagText, Texts: []string{"a", "b"}}}},
+			&ColBatch{NumRows: 2, Cols: []ColData{{Tag: ColTagInt, Ints: []int64{3, 4}}, {Tag: ColTagText, Texts: []string{"c", "d"}}}},
+		}
+		for _, m := range halves {
+			if err := WriteMessage(&buf, m); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(buf.Bytes())
+	}
 	{
 		var buf bytes.Buffer
 		if err := WriteMessage(&buf, &Query{SQL: "EXPLAIN ANALYZE SELECT dist(src, dst) FROM hops"}); err != nil {
@@ -41,10 +53,10 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	legacyStats := append([]byte{'s', 0x00, 0x00, 0x00, 14 * 8}, make([]byte, 14*8)...)
-	f.Add(legacyStats)
-	partialStats := append([]byte{'s', 0x00, 0x00, 0x00, 14*8 + 8}, make([]byte, 14*8+8)...)
-	f.Add(partialStats)
+	// The retired row-major result frame's type byte is now just unknown.
+	if _, err := Decode('d', []byte{0x00}); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
+		f.Fatalf("type byte 'd' decoded: %v", err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

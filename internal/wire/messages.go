@@ -77,8 +77,6 @@ func Decode(typ byte, payload []byte) (Message, error) {
 		m = &Ready{}
 	case TypeRowDesc:
 		m = &RowDesc{}
-	case TypeRowBatch:
-		m = &RowBatch{}
 	case TypeColBatch:
 		m = &ColBatch{}
 	case TypeDone:
@@ -212,7 +210,7 @@ func (*Ready) Type() byte          { return TypeReady }
 func (m *Ready) encode(e *Encoder) { e.String(m.Server) }
 func (m *Ready) decode(d *Decoder) { m.Server = d.String() }
 
-// RowDesc announces a result's column names; RowBatch frames follow.
+// RowDesc announces a result's column names; ColBatch frames follow.
 type RowDesc struct {
 	Cols []string
 }
@@ -234,32 +232,6 @@ func (m *RowDesc) decode(d *Decoder) {
 		}
 	}
 	m.Cols = cols
-}
-
-// RowBatch carries one chunk of result rows — the wire continuation of
-// the executor's batch framing: a server slices a result into batches of
-// at most DefaultRowBatch rows and streams them.
-type RowBatch struct {
-	Rows [][]sqltypes.Value
-}
-
-func (*RowBatch) Type() byte { return TypeRowBatch }
-func (m *RowBatch) encode(e *Encoder) {
-	e.Uvarint(uint64(len(m.Rows)))
-	for _, r := range m.Rows {
-		e.Row(r)
-	}
-}
-func (m *RowBatch) decode(d *Decoder) {
-	n := d.Len() // ≥1 byte per row, bounded by payload
-	rows := make([][]sqltypes.Value, 0, capHint(n))
-	for i := 0; i < n; i++ {
-		rows = append(rows, d.RowSlice())
-		if d.Err() != nil {
-			return
-		}
-	}
-	m.Rows = rows
 }
 
 // Notice carries one asynchronous diagnostic message (RAISE NOTICE
@@ -323,31 +295,22 @@ func (m *ParseOK) decode(d *Decoder) {
 
 // PlanStats carries the shared plan cache's counters: calls inlined into
 // plans, constant-specialized call sites, entries evicted (cap pressure
-// or DDL invalidation), and — since protocol v5 — cache hits and misses.
+// or DDL invalidation), and cache hits and misses.
 type PlanStats struct {
 	PlansInlined     int64
 	SpecializedPlans int64
 	CacheEvictions   int64
-	CacheHits        int64 // v5+; zero on legacy frames
-	CacheMisses      int64 // v5+; zero on legacy frames
+	CacheHits        int64
+	CacheMisses      int64
 }
 
 // StatsReply carries the engine's storage counters (Table 2 page writes
 // plus the MVCC commit/vacuum counters), the plan cache's counters, and
-// — since protocol v5 — the server's live connection count.
-//
-// The v5 fields grew at the frame's tail: a server answering a v3/v4
-// client sets Legacy and omits them, and a decoder facing a short (v4)
-// payload leaves them zero and reports Legacy — both directions of a
-// mixed-version conversation keep framing intact.
+// the server's live connection count.
 type StatsReply struct {
 	Stats       storage.StatsSnapshot
 	Plans       PlanStats
-	ActiveConns int64 // v5+; open wire connections on the serving plsqld
-
-	// Legacy marks the pre-v5 frame shape: set it before encoding for an
-	// old peer; set by decode when the payload lacks the v5 tail.
-	Legacy bool
+	ActiveConns int64 // open wire connections on the serving plsqld
 }
 
 func (*StatsReply) Type() byte { return TypeStatsReply }
@@ -366,9 +329,6 @@ func (m *StatsReply) encode(e *Encoder) {
 	e.Int64(m.Plans.PlansInlined)
 	e.Int64(m.Plans.SpecializedPlans)
 	e.Int64(m.Plans.CacheEvictions)
-	if m.Legacy {
-		return
-	}
 	e.Int64(m.Plans.CacheHits)
 	e.Int64(m.Plans.CacheMisses)
 	e.Int64(m.ActiveConns)
@@ -388,10 +348,6 @@ func (m *StatsReply) decode(d *Decoder) {
 	m.Plans.PlansInlined = d.Int64()
 	m.Plans.SpecializedPlans = d.Int64()
 	m.Plans.CacheEvictions = d.Int64()
-	if d.Err() == nil && d.Remaining() == 0 {
-		m.Legacy = true
-		return
-	}
 	m.Plans.CacheHits = d.Int64()
 	m.Plans.CacheMisses = d.Int64()
 	m.ActiveConns = d.Int64()

@@ -1,8 +1,8 @@
 // Package wire defines the length-prefixed binary protocol plsqld serves
 // and the client package speaks: a small PostgreSQL-inspired frame set
-// covering startup, simple queries, parse/bind/execute for prepared
-// statements, chunked row-batch responses (reusing the executor's
-// batch-at-a-time framing), storage-stats polling, and error reporting.
+// covering startup, simple queries, parse/execute for prepared
+// statements, streamed columnar results, storage-stats polling, and error
+// reporting. There is one protocol version and one result frame shape.
 //
 // Framing. Every message is one frame:
 //
@@ -19,23 +19,37 @@
 // (FuzzDecode pins this).
 //
 // Conversation. The client opens with Startup and the server answers
-// Ready. After that, every client request produces an ordered response
-// sequence finished by exactly one terminator frame (Done, Error,
-// ParseOK, StatsReply). Requests are independent, so a client may
+// Ready — or Error, when the startup names any version other than
+// ProtocolVersion. After that, every client request produces an ordered
+// response sequence finished by exactly one terminator frame (Done,
+// Error, ParseOK, StatsReply). Requests are independent, so a client may
 // pipeline: send N requests before reading the first response; the
 // server reads ahead and answers strictly in request order.
 //
-//	Query        → [RowDesc RowBatch*] Done | Error
+//	Query        → [RowDesc ColBatch*] Notice* (Done | Error)
 //	Parse        → ParseOK | Error
-//	Execute      → [RowDesc RowBatch*] Done | Error
+//	Execute      → [RowDesc ColBatch*] Notice* (Done | Error)
 //	CloseStmt    → Done | Error
 //	Seed         → Done
 //	StatsRequest → StatsReply
 //	Terminate    → (connection closes)
 //
-// Row values use a compact kind-tagged encoding mirroring
-// sqltypes.Value: NULL, bool, int64, float64 bits, length-prefixed text,
-// coord, and recursively encoded row values (depth-limited).
+// Query and Execute answer through the same streaming path: every row —
+// a SELECT's, a prepared SELECT's, EXPLAIN [ANALYZE] text — leaves the
+// executor batch by batch and each batch travels as one ColBatch frame
+// the moment it is produced, so the server never holds a whole result
+// and a slow reader throttles the executor through TCP backpressure. An
+// execution error after rows already went out ends the response with
+// Error instead of Done; the client discards the partial result. A Query
+// carrying several semicolon-separated statements runs them as one
+// implicit transaction block (committed together at the end, rolled back
+// together on error; explicit BEGIN/COMMIT/ROLLBACK inside are honoured)
+// and answers a bare Done or Error.
+//
+// Row values outside ColBatch's typed lanes use a compact kind-tagged
+// encoding mirroring sqltypes.Value: NULL, bool, int64, float64 bits,
+// length-prefixed text, coord, and recursively encoded row values
+// (depth-limited).
 package wire
 
 import (
@@ -51,32 +65,12 @@ import (
 // per-request error instead of tearing the connection down.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrameLen")
 
-// ProtocolVersion is bumped on incompatible frame-set changes; the server
-// rejects startups outside [MinProtocolVersion, ProtocolVersion]. Version
-// 2 added the Notice frame (RAISE NOTICE and transaction-control warnings
-// streamed ahead of a response's terminator). Version 3 added the Error
-// code field (retryable-failure classification) and the durability stats
-// fields. Version 4 added the columnar ColBatch result frame and the
-// streaming result path. Version 5 appended observability fields to
-// StatsReply (plan-cache hit/miss counters, active connection count) —
-// the frame grew at its tail, so v3/v4 peers keep exchanging the old
-// shape (see StatsReply.Legacy).
-const ProtocolVersion uint32 = 5
-
-// MinProtocolVersion is the oldest startup version the server still
-// accepts: v3 clients negotiate row-major RowBatch results and never see
-// a ColBatch frame.
-const MinProtocolVersion uint32 = 3
-
-// ColBatchVersion is the first protocol version whose clients decode
-// ColBatch frames; the server only sends them on sessions negotiated at
-// this version or later.
-const ColBatchVersion uint32 = 4
-
-// ExtendedStatsVersion is the first protocol version whose StatsReply
-// carries the observability tail (cache hits/misses, active connections);
-// servers answer older sessions with the legacy shape.
-const ExtendedStatsVersion uint32 = 5
+// ProtocolVersion is the one protocol version: a Startup naming any
+// other is refused with an Error frame. It is bumped on every
+// incompatible frame-set change (6 dropped the row-major result frame
+// and the version-dependent StatsReply shape), and client and server
+// ship together, so nothing is negotiated.
+const ProtocolVersion uint32 = 6
 
 // Error codes classify server-reported failures so clients can react
 // without string-matching: a CodeSerialization error means the whole
@@ -92,10 +86,6 @@ const (
 // MaxFrameLen bounds one frame's payload: larger announcements are a
 // protocol error and are rejected before allocation.
 const MaxFrameLen = 16 << 20
-
-// DefaultRowBatch is how many rows a server packs into one RowBatch frame
-// — the wire-level analogue of the executor's tuples-per-batch default.
-const DefaultRowBatch = 256
 
 // maxValueDepth bounds row-value nesting during decode.
 const maxValueDepth = 32
@@ -116,7 +106,6 @@ const (
 	// server → client
 	TypeReady      byte = 'r'
 	TypeRowDesc    byte = 'c'
-	TypeRowBatch   byte = 'd'
 	TypeColBatch   byte = 'b'
 	TypeDone       byte = 'z'
 	TypeError      byte = 'e'
@@ -150,8 +139,6 @@ func TypeName(typ byte) string {
 		return "ready"
 	case TypeRowDesc:
 		return "row_desc"
-	case TypeRowBatch:
-		return "row_batch"
 	case TypeColBatch:
 		return "col_batch"
 	case TypeDone:

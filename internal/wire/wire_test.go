@@ -38,11 +38,6 @@ func sampleMessages() []Message {
 		&Terminate{},
 		&Ready{Server: "plsqlaway test"},
 		&RowDesc{Cols: []string{"a", "b", "?column?"}},
-		&RowBatch{Rows: [][]sqltypes.Value{
-			{sqltypes.NewInt(1), sqltypes.NewText("x")},
-			{sqltypes.Null, sqltypes.NewFloat(math.NaN())},
-			{},
-		}},
 		&ColBatch{NumRows: 5, Cols: []ColData{
 			{Tag: ColTagInt, Ints: []int64{1, -2, 0, math.MaxInt64, math.MinInt64},
 				Nulls: []bool{false, false, true, false, false}},
@@ -70,8 +65,6 @@ func sampleMessages() []Message {
 			PlansInlined: 8, SpecializedPlans: 9, CacheEvictions: 10,
 			CacheHits: 11, CacheMisses: 12,
 		}, ActiveConns: 3},
-		&StatsReply{Stats: storage.StatsSnapshot{PageWrites: 1},
-			Plans: PlanStats{PlansInlined: 2}, Legacy: true},
 	}
 }
 
@@ -97,22 +90,6 @@ func messagesEqual(t *testing.T, want, got Message) bool {
 		for i := range w.Params {
 			if !valuesIdentical(w.Params[i], g.Params[i]) {
 				return false
-			}
-		}
-		return true
-	case *RowBatch:
-		g := got.(*RowBatch)
-		if len(w.Rows) != len(g.Rows) {
-			return false
-		}
-		for i := range w.Rows {
-			if len(w.Rows[i]) != len(g.Rows[i]) {
-				return false
-			}
-			for j := range w.Rows[i] {
-				if !valuesIdentical(w.Rows[i][j], g.Rows[i][j]) {
-					return false
-				}
 			}
 		}
 		return true
@@ -317,7 +294,7 @@ func TestColBatchReencodeStable(t *testing.T) {
 
 func TestWriteOversizedFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteFrame(&buf, TypeRowBatch, make([]byte, MaxFrameLen+1))
+	err := WriteFrame(&buf, TypeColBatch, make([]byte, MaxFrameLen+1))
 	if err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("oversized write not rejected: %v", err)
 	}

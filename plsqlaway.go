@@ -170,8 +170,8 @@ func Install(target Installer, name string, res *Result) error {
 // stand-alone daemon.
 type Server = server.Server
 
-// ServerOptions tunes a Server (banner, pipelining queue depth, row
-// batch size, drain grace). The zero value is production-ready.
+// ServerOptions tunes a Server (banner, pipelining queue depth, drain
+// grace). The zero value is production-ready.
 type ServerOptions = server.Options
 
 // NewServer wraps e in a wire-protocol server. Call Serve/ListenAndServe
