@@ -5,14 +5,21 @@
 // before each evaluation so even the stochastic robot walk must agree
 // step for step. The grid below must cover the whole corpus — the test
 // fails if a corpus entry has no cases, so new corpus functions cannot
-// silently dodge the differential check.
+// silently dodge the differential check. TestDifferentialLoopVsGeneric
+// adds the third regime: the compiled SQL on the generic recursive-CTE
+// plan the Loop lowering replaced.
 package plsqlaway_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"plsqlaway"
+	"plsqlaway/internal/catalog"
+	"plsqlaway/internal/exec"
+	"plsqlaway/internal/plan"
+	"plsqlaway/internal/sqlparser"
 	"plsqlaway/internal/sqltypes"
 	"plsqlaway/internal/workload"
 )
@@ -271,6 +278,156 @@ func TestDifferentialBatchVsTuple(t *testing.T) {
 						if !sqltypes.Identical(vals[0], vals[j]) {
 							t.Errorf("case %d: %s: %s=%v but %s=%v (args %v)",
 								i, fn, engines[0].label, vals[0], engines[j].label, vals[j], args)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// compiledRun is one compiled corpus function planned by hand in one
+// regime: lowered (the plan the engine builds: trampoline → Loop, lets →
+// slots) or generic (plan.Options.NoLoop: the recursive-CTE plan over
+// nest-loop let chains the lowering replaced). It mirrors what the
+// engine's opaque call path does around such a plan: arguments cast to the
+// parameter types, the result to the return type.
+type compiledRun struct {
+	res *plsqlaway.Result
+	p   *plan.Plan
+}
+
+func planCompiled(t *testing.T, cat *catalog.Catalog, res *plsqlaway.Result, generic bool) compiledRun {
+	t.Helper()
+	q, err := sqlparser.ParseQuery(res.SQL)
+	if err != nil {
+		t.Fatalf("reparse emitted SQL: %v", err)
+	}
+	hook := func(name string) (int, bool) {
+		for i, p := range res.Params {
+			if p.Name == name {
+				return i + 1, true
+			}
+		}
+		return 0, false
+	}
+	p, err := plan.Build(cat, q, plan.Options{Hook: hook, NoLoop: generic})
+	if err != nil {
+		t.Fatalf("plan (generic=%v): %v", generic, err)
+	}
+	return compiledRun{res: res, p: p}
+}
+
+// eval runs the plan under a session-equivalent context — random() seeded
+// as Session.Seed(seed) would — and returns the function value and the
+// next draw of the random stream, i.e. how far the evaluation advanced it.
+func (c compiledRun) eval(t *testing.T, seed uint64, batch int, args []plsqlaway.Value) (plsqlaway.Value, float64) {
+	t.Helper()
+	ctx := exec.NewCtx()
+	ctx.Rand = exec.NewRand(seed)
+	if batch > 0 {
+		ctx.BatchSize = batch
+	}
+	for i, a := range args {
+		v, err := sqltypes.Cast(a, c.res.Params[i].Type)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Params = append(ctx.Params, v)
+	}
+	ex, err := exec.Instantiate(c.p, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Shutdown()
+	rows, err := ex.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(rows) != 1 || len(rows[0]) != 1 {
+		t.Fatalf("compiled body returned %v, want one value", rows)
+	}
+	v, err := sqltypes.Cast(rows[0][0], c.res.ReturnType)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, ctx.Rand.Float64()
+}
+
+// TestDifferentialLoopVsGeneric runs EVERY corpus function in three
+// regimes — interpreted, compiled and lowered to a Loop, compiled on the
+// generic RecursiveUnion plan — in both spellings (WITH RECURSIVE, WITH
+// ITERATE), at batch sizes 1, 7 and the default, over 20 seeds. All three
+// must return the identical value AND leave the random stream at the
+// identical position: the same number of random() draws, which for walk
+// means the lowering kept every stray of the robot in order.
+func TestDifferentialLoopVsGeneric(t *testing.T) {
+	const seeds = 20
+	for name, src := range workload.Corpus {
+		c, ok := differentialGrid[name]
+		if !ok {
+			t.Errorf("corpus function %q has no differential grid — add cases", name)
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			e := newWorkloadEngine(t)
+			s := e.NewSession()
+			if err := s.Exec(src); err != nil {
+				t.Fatalf("install interpreted: %v", err)
+			}
+			// The interpreted answers, and where they leave the stream.
+			type answer struct {
+				v    plsqlaway.Value
+				draw float64
+			}
+			want := make([]answer, seeds)
+			argsOf := func(seed int) []plsqlaway.Value { return c.args[seed%len(c.args)] }
+			for seed := range want {
+				s.Seed(uint64(seed + 1))
+				v, err := s.QueryValue(fmt.Sprintf(c.tmpl, name), argsOf(seed)...)
+				if err != nil {
+					t.Fatalf("interpreted, seed %d: %v", seed+1, err)
+				}
+				d, err := s.QueryValue("SELECT random()")
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[seed] = answer{v, d.Float()}
+			}
+
+			for _, iterate := range []bool{false, true} {
+				res, err := plsqlaway.Compile(src, plsqlaway.Options{Iterate: iterate})
+				if err != nil {
+					t.Fatalf("compile (iterate=%v): %v", iterate, err)
+				}
+				lowered := planCompiled(t, s.Catalog(), res, false)
+				generic := planCompiled(t, s.Catalog(), res, true)
+				// The regimes are what they claim to be. (Loop-less
+				// functions compile to one expression: nothing to lower.)
+				recursive := strings.Contains(res.SQL, "WITH ")
+				if lt := strings.Join(lowered.p.Explain(), "\n"); recursive &&
+					(lowered.p.LoopedCTEs != 1 || strings.Contains(lt, "RecursiveUnion")) {
+					t.Fatalf("iterate=%v: compiled plan was not lowered:\n%s", iterate, lt)
+				}
+				if gt := strings.Join(generic.p.Explain(), "\n"); generic.p.LoopedCTEs != 0 || strings.Contains(gt, "Let") ||
+					(recursive && !strings.Contains(gt, "RecursiveUnion")) {
+					t.Fatalf("iterate=%v: NoLoop plan is not the generic plan:\n%s", iterate, gt)
+				}
+				for _, batch := range []int{1, 7, 0} {
+					for seed := range want {
+						for _, regime := range []struct {
+							label string
+							run   compiledRun
+						}{{"loop", lowered}, {"generic", generic}} {
+							v, draw := regime.run.eval(t, uint64(seed+1), batch, argsOf(seed))
+							if !sqltypes.Identical(v, want[seed].v) {
+								t.Errorf("%s iterate=%v batch=%d seed=%d: %v, interpreted %v (args %v)",
+									regime.label, iterate, batch, seed+1, v, want[seed].v, argsOf(seed))
+							}
+							if draw != want[seed].draw {
+								t.Errorf("%s iterate=%v batch=%d seed=%d: random stream position differs from the interpreter's (args %v)",
+									regime.label, iterate, batch, seed+1, argsOf(seed))
+							}
 						}
 					}
 				}

@@ -190,10 +190,13 @@ func AblationIterate(steps int64) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := installTraceKept(env, "walk"); err != nil {
+		return nil, err
+	}
 	e := env.E
 	var rows []AblationRow
 	for _, v := range []struct{ name, fn string }{
-		{"WITH RECURSIVE (trace kept)", "walk_c"},
+		{"WITH RECURSIVE (trace kept)", "walk_ct"},
 		{"WITH ITERATE (latest row only)", "walk_ci"},
 	} {
 		fn := v.fn

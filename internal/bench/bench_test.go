@@ -114,6 +114,9 @@ func TestTable2Shape(t *testing.T) {
 		if r.RecursiveWrites == 0 {
 			t.Errorf("n=%d: WITH RECURSIVE wrote no pages, expected a quadratic trace", r.Iterations)
 		}
+		if r.LoopWrites != 0 {
+			t.Errorf("n=%d: lowered WITH RECURSIVE wrote %d pages, want 0", r.Iterations, r.LoopWrites)
+		}
 	}
 	// Quadratic growth: doubling the input should roughly quadruple writes.
 	if len(rows) == 2 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"plsqlaway/internal/sqltypes"
@@ -77,5 +78,44 @@ func TestColumnarAllocsRegression(t *testing.T) {
 				t.Fatalf("result drifted: %v want %v", res.Rows, want.Rows)
 			}
 		})
+	}
+}
+
+// TestLoopAllocsPin pins what the Loop operator bought for the compiled
+// fibonacci call: a small fixed cost per call (a handful of operators to
+// instantiate, not one nest loop per let) and an iteration that allocates
+// nothing of its own — the state row is updated in place and no iteration
+// is kept. The generic recursive-CTE plan measured 238 KB per call and ~10
+// allocations (2 KB) per iteration.
+func TestLoopAllocsPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is slow under -short")
+	}
+	s := newQuartetEngine(t).NewSession()
+	measure := func(n int64) (bytes, allocs float64) {
+		arg := sqltypes.NewInt(n)
+		call := func() {
+			if _, err := s.QueryValue("SELECT fibonacci_c($1)", arg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // plan once
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
+	}
+	bytes1, allocs1 := measure(1)
+	_, allocs90 := measure(90)
+	if bytes1 > 60<<10 {
+		t.Errorf("fibonacci_c(1) allocates %.0f bytes per call, budget 60 KiB", bytes1)
+	}
+	if perIter := (allocs90 - allocs1) / 89; perIter > 2 {
+		t.Errorf("fibonacci_c allocates %.2f times per iteration (%.0f at n=90, %.0f at n=1), budget 2",
+			perIter, allocs90, allocs1)
 	}
 }

@@ -41,7 +41,7 @@ func TestExplainAnalyzeGoldenInlined(t *testing.T) {
 	installCompiledLookup(t, e, testActionOf)
 	got := stripAnalyzeTimes(renderRows(t, e, "EXPLAIN ANALYZE SELECT count(action_of(coord(n % 2, n % 2))) FROM seq"))
 	want := strings.TrimLeft(`
-Plan (nodes=6 inlined=1 specialized=0)
+Plan (nodes=6 inlined=1 specialized=0 looped=0)
 Project [#0]  (actual rows=1 batches=1)
   Agg [count(#1)]  (actual rows=1 batches=1)
     HashJoin (left, single-row, static build, keys [coord[(#0 % 2), (#0 % 2)]] = [#1], residual (coord[(#0 % 2), (#0 % 2)] = #2))  (actual rows=30 batches=1 build=4)
@@ -66,7 +66,7 @@ func TestExplainAnalyzeGoldenOpaque(t *testing.T) {
 	defer e.SetInlining(true)
 	got := stripAnalyzeTimes(renderRows(t, e, "EXPLAIN ANALYZE SELECT count(action_of(coord(n % 2, n % 2))) FROM seq"))
 	want := strings.TrimLeft(`
-Plan (nodes=3 inlined=0 specialized=0)
+Plan (nodes=3 inlined=0 specialized=0 looped=0)
 Project [#0]  (actual rows=1 batches=1)
   Agg [count(udf:action_of[coord[(#0 % 2), (#0 % 2)]])]  (actual rows=1 batches=1)
     SeqScan seq  (actual rows=30 batches=30)

@@ -213,7 +213,7 @@ func TestExplainGoldenInlineDecorrelation(t *testing.T) {
 	q := "EXPLAIN SELECT count(action_of(coord(n % 2, n % 2))) FROM seq"
 
 	want := strings.TrimLeft(`
-Plan (nodes=6 inlined=1 specialized=0)
+Plan (nodes=6 inlined=1 specialized=0 looped=0)
 Project [#0]
   Agg [count(#1)]
     HashJoin (left, single-row, static build, keys [coord[(#0 % 2), (#0 % 2)]] = [#1], residual (coord[(#0 % 2), (#0 % 2)] = #2))
@@ -228,7 +228,7 @@ Project [#0]
 	e.SetInlining(false)
 	defer e.SetInlining(true)
 	wantOpaque := strings.TrimLeft(`
-Plan (nodes=3 inlined=0 specialized=0)
+Plan (nodes=3 inlined=0 specialized=0 looped=0)
 Project [#0]
   Agg [count(udf:action_of[coord[(#0 % 2), (#0 % 2)]])]
     SeqScan seq

@@ -87,6 +87,7 @@ func newMetrics(reg *obs.Registry, sh *shared) *metrics {
 	reg.CounterFunc("plsql_plan_cache_evictions_total", "Plans evicted (capacity or DDL invalidation).", func() int64 { _, _, ev := cache.InlineStats(); return ev })
 	reg.CounterFunc("plsql_plan_udf_calls_inlined_total", "UDF calls compiled away into calling queries.", func() int64 { in, _, _ := cache.InlineStats(); return in })
 	reg.CounterFunc("plsql_plan_specialized_total", "Constant-specialized call sites.", func() int64 { _, sp, _ := cache.InlineStats(); return sp })
+	reg.CounterFunc("plsql_plan_loops_lowered_total", "Recursive CTEs lowered to Loop operators.", cache.LoopStats)
 	reg.GaugeFunc("plsql_plan_cache_size", "Plans currently cached.", func() int64 { return int64(cache.Len()) })
 	return m
 }

@@ -11,11 +11,12 @@ import (
 // One instance per plan node, written single-threaded by the executor's
 // pull loop — no atomics needed.
 type NodeStats struct {
-	Calls     int64         // NextBatch invocations, the EOF pull included
-	Batches   int64         // batches that carried rows (EOF pulls excluded)
-	Rows      int64         // rows emitted across all batches
-	BuildRows int64         // hash-join build-side rows hashed (0 elsewhere)
-	Time      time.Duration // cumulative wall time inside NextBatch, children included
+	Calls      int64         // NextBatch invocations, the EOF pull included
+	Batches    int64         // batches that carried rows (EOF pulls excluded)
+	Rows       int64         // rows emitted across all batches
+	BuildRows  int64         // hash-join build-side rows hashed (0 elsewhere)
+	Iterations int64         // Loop iterations over all (re)scans (0 elsewhere)
+	Time       time.Duration // cumulative wall time inside NextBatch (Loop: and Open/Rescan), children included
 }
 
 // Analyzer correlates an instantiated node tree back to the plan tree it
@@ -44,11 +45,15 @@ func (a *Analyzer) statsFor(p plan.Node) *NodeStats {
 // wrap interposes the timing shim over a freshly built node. Hash joins
 // additionally get the stats handle pushed down so build() can report the
 // rows it hashed (build happens inside the first NextBatch, invisible to
-// the wrapper's own counters).
+// the wrapper's own counters), and so do loops, which do their work — and
+// count their iterations — in Open/Rescan.
 func (a *Analyzer) wrap(p plan.Node, n Node) Node {
 	st := a.statsFor(p)
-	if hj, ok := n.(*hashJoinNode); ok {
-		hj.stats = st
+	switch x := n.(type) {
+	case *hashJoinNode:
+		x.stats = st
+	case *loopNode:
+		x.stats = st
 	}
 	return &analyzedNode{inner: n, st: st}
 }
@@ -70,7 +75,11 @@ func (a *Analyzer) annotate(p plan.Node) string {
 	if st.Calls == 0 {
 		return "  (never executed)"
 	}
-	s := fmt.Sprintf("  (actual rows=%d batches=%d", st.Rows, st.Batches)
+	s := ""
+	if _, ok := p.(*plan.Loop); ok {
+		s = fmt.Sprintf(" (iterations=%d)", st.Iterations)
+	}
+	s += fmt.Sprintf("  (actual rows=%d batches=%d", st.Rows, st.Batches)
 	if st.BuildRows > 0 {
 		s += fmt.Sprintf(" build=%d", st.BuildRows)
 	}

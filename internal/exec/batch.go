@@ -49,12 +49,16 @@ type Batch struct {
 	mdone bool
 }
 
-// NewBatch creates a batch bounded to limit rows per fill.
+// NewBatch creates a batch bounded to limit rows per fill. The row-header
+// slice is sized by the first fill — a bulk Append allocates it once at
+// the chunk's length, row-at-a-time Adds grow it — and begin keeps that
+// capacity across refills, so a one-row plan (most of what a PL/pgSQL
+// function instantiates) never pays limit × header bytes per operator.
 func NewBatch(limit int) *Batch {
 	if limit < 1 {
 		limit = 1
 	}
-	return &Batch{rows: make([]storage.Tuple, 0, limit), limit: limit}
+	return &Batch{limit: limit}
 }
 
 // begin truncates the batch for refilling. Every NextBatch implementation

@@ -209,5 +209,8 @@ func teardown(n Node) {
 		x.iter, x.set, x.buf = nil, nil, nil
 	case *resultNode:
 		x.exprs = nil
+	case *loopNode:
+		x.seed, x.step, x.out = nil, nil, nil
+		x.cur, x.next, x.result = nil, nil, nil
 	}
 }

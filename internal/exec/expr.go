@@ -29,6 +29,7 @@ const (
 	kField
 	kSubplan
 	kUDF
+	kLet
 )
 
 // ExprState is an instantiated expression: the runtime twin of plan.Expr.
@@ -42,8 +43,8 @@ type ExprState struct {
 	depth   int            // kOuter
 	op      string         // kBin, kUnary, kField (named field)
 	bin     binCode        // kBin: precomputed operator dispatch code
-	kids    []*ExprState   // operands / args / CASE [operand?, cond1, res1, cond2, res2, …]
-	elseK   *ExprState     // kCase
+	kids    []*ExprState   // operands / args / CASE [operand?, cond1, res1, cond2, res2, …] / kLet slots
+	elseK   *ExprState     // kCase else arm, kLet body
 	hasOp   bool           // kCase has operand
 	negate  bool           // kIsNull, kBetween, kInList, kSubplan
 	builtin builtinFn      // kFunc
@@ -72,7 +73,7 @@ type ExprState struct {
 	// across calls (an ExprState belongs to one executor instantiation and
 	// is never evaluated reentrantly when pure).
 	bufs [][]sqltypes.Value
-	args []sqltypes.Value // kFunc: per-row argument scratch
+	args []sqltypes.Value // kFunc: per-row argument scratch; kLet: the slot row
 
 	// selRows/selIdx are the selection-vector scratch of vectorized AND/OR:
 	// the subset of rows whose right operand must actually be evaluated.
@@ -98,7 +99,8 @@ func instantiateExpr(e plan.Expr) (*ExprState, error) {
 
 func (es *ExprState) computePure() bool {
 	switch es.kind {
-	case kSubplan, kUDF:
+	case kSubplan, kUDF, kLet:
+		// (kLet pushes its input row, so it evaluates row by row.)
 		return false
 	case kFunc:
 		if es.name == "random" || es.name == "setseed" {
@@ -232,6 +234,16 @@ func buildExpr(e plan.Expr) (*ExprState, error) {
 			st.subCmp = cmp
 		}
 		return st, nil
+	case *plan.LetExpr:
+		ks, err := instantiateAll(x.Slots...)
+		if err != nil {
+			return nil, err
+		}
+		body, err := instantiateExpr(x.Body)
+		if err != nil {
+			return nil, err
+		}
+		return &ExprState{kind: kLet, kids: ks, elseK: body, args: make([]sqltypes.Value, len(ks))}, nil
 	case *plan.UDFCallExpr:
 		ks, err := instantiateAll(x.Args...)
 		if err != nil {
@@ -383,9 +395,98 @@ func (es *ExprState) Eval(ctx *Ctx, row storage.Tuple) (sqltypes.Value, error) {
 		v, err := ctx.CallFn(es.fn, args)
 		ctx.CallDepth--
 		return v, err
+	case kLet:
+		if err := es.bindSlots(ctx, row); err != nil {
+			return sqltypes.Null, err
+		}
+		v, err := es.elseK.Eval(ctx, es.args)
+		ctx.popOuter()
+		return v, err
 	default:
 		return sqltypes.Null, fmt.Errorf("exec: bad expression kind %d", es.kind)
 	}
+}
+
+// noRow is the input row of a FROM-less SELECT: what plan.Result emits.
+var noRow = storage.Tuple{}
+
+// bindSlots evaluates a kLet's slots into es.args under the outer-row
+// stack of the subplan it replaces (see plan.LetExpr): the input row is
+// pushed — and on success stays pushed for the body, the caller pops it —
+// and slot j > 0 sees slots 0..j-1 as the lateral join's left row. Each
+// slot runs once, in order. A node is never re-entered while it
+// evaluates (nested calls instantiate their own trees), so the slot row
+// is per-node scratch.
+func (es *ExprState) bindSlots(ctx *Ctx, row storage.Tuple) error {
+	ctx.pushOuter(row)
+	for j, k := range es.kids {
+		if j > 0 {
+			ctx.pushOuter(es.args[:j])
+		}
+		v, err := k.Eval(ctx, noRow)
+		if j > 0 {
+			ctx.popOuter()
+		}
+		if err != nil {
+			ctx.popOuter()
+			return err
+		}
+		es.args[j] = v
+	}
+	return nil
+}
+
+// evalRowInto evaluates a ROW-valued expression and stores the row's
+// fields in dst — what `(e).f1 … (e).fN` yields — without boxing the row
+// when e is a row constructor reached through CASE arms and lets, the
+// shape of a compiled function's step.
+func (es *ExprState) evalRowInto(ctx *Ctx, row storage.Tuple, dst []sqltypes.Value) error {
+	switch es.kind {
+	case kRow:
+		if len(es.kids) < len(dst) {
+			break // too short: let fieldOf below report it
+		}
+		// Every operand runs, selected or not, as in a boxed constructor.
+		for i, k := range es.kids {
+			v, err := k.Eval(ctx, row)
+			if err != nil {
+				return err
+			}
+			if i < len(dst) {
+				dst[i] = v
+			}
+		}
+		return nil
+	case kCase:
+		arm, err := es.caseArm(ctx, row)
+		if err != nil {
+			return err
+		}
+		if arm != nil {
+			return arm.evalRowInto(ctx, row, dst)
+		}
+		for i := range dst {
+			dst[i] = sqltypes.Null
+		}
+		return nil
+	case kLet:
+		if err := es.bindSlots(ctx, row); err != nil {
+			return err
+		}
+		err := es.elseK.evalRowInto(ctx, es.args, dst)
+		ctx.popOuter()
+		return err
+	}
+	v, err := es.Eval(ctx, row)
+	if err != nil {
+		return err
+	}
+	for i := range dst {
+		if dst[i], err = fieldOf(v, i, ""); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (es *ExprState) evalBinary(ctx *Ctx, row storage.Tuple) (sqltypes.Value, error) {
@@ -805,21 +906,23 @@ func (es *ExprState) evalInList(ctx *Ctx, row storage.Tuple) (sqltypes.Value, er
 	return sqltypes.NewBool(es.negate), nil
 }
 
-func (es *ExprState) evalCase(ctx *Ctx, row storage.Tuple) (sqltypes.Value, error) {
+// caseArm evaluates a CASE's conditions in order and returns the arm it
+// selects (nil: no arm matched and there is no ELSE, the value is NULL).
+func (es *ExprState) caseArm(ctx *Ctx, row storage.Tuple) (*ExprState, error) {
 	arms := es.kids
 	var operand sqltypes.Value
 	if es.hasOp {
 		var err error
 		operand, err = arms[0].Eval(ctx, row)
 		if err != nil {
-			return sqltypes.Null, err
+			return nil, err
 		}
 		arms = arms[1:]
 	}
 	for i := 0; i+1 < len(arms); i += 2 {
 		cond, err := arms[i].Eval(ctx, row)
 		if err != nil {
-			return sqltypes.Null, err
+			return nil, err
 		}
 		var hit bool
 		if es.hasOp {
@@ -829,13 +932,18 @@ func (es *ExprState) evalCase(ctx *Ctx, row storage.Tuple) (sqltypes.Value, erro
 			hit = cond.IsTrue()
 		}
 		if hit {
-			return arms[i+1].Eval(ctx, row)
+			return arms[i+1], nil
 		}
 	}
-	if es.elseK != nil {
-		return es.elseK.Eval(ctx, row)
+	return es.elseK, nil
+}
+
+func (es *ExprState) evalCase(ctx *Ctx, row storage.Tuple) (sqltypes.Value, error) {
+	arm, err := es.caseArm(ctx, row)
+	if err != nil || arm == nil {
+		return sqltypes.Null, err
 	}
-	return sqltypes.Null, nil
+	return arm.Eval(ctx, row)
 }
 
 func (es *ExprState) evalSubplan(ctx *Ctx, row storage.Tuple) (sqltypes.Value, error) {

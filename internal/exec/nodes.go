@@ -192,6 +192,8 @@ func instantiateNodeRaw(p plan.Node, ana *Analyzer) (Node, error) {
 			return nil, err
 		}
 		return &withNode{indices: x.Indices, child: child}, nil
+	case *plan.Loop:
+		return instantiateLoop(x)
 	default:
 		return nil, fmt.Errorf("exec: cannot instantiate plan node %T", p)
 	}

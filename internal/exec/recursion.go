@@ -252,13 +252,6 @@ type recursiveUnionNode struct {
 }
 
 func (n *recursiveUnionNode) Open(ctx *Ctx) error {
-	n.phase = 0
-	n.batchIdx = 0
-	n.iterations = 0
-	n.seen = nil
-	if n.dedup {
-		n.seen = newTupleSet()
-	}
 	if n.shuttle == nil {
 		n.shuttle = NewBatch(ctx.BatchSize)
 	}
@@ -269,7 +262,19 @@ func (n *recursiveUnionNode) Open(ctx *Ctx) error {
 		return err
 	}
 	n.opened = true
-	// Seed the working table.
+	return n.reseed(ctx)
+}
+
+// reseed restarts the recursion from the non-recursive term, which the
+// caller has just opened or rescanned.
+func (n *recursiveUnionNode) reseed(ctx *Ctx) error {
+	n.phase = 0
+	n.batchIdx = 0
+	n.iterations = 0
+	n.seen = nil
+	if n.dedup {
+		n.seen = newTupleSet()
+	}
 	var err error
 	n.working, err = n.drain(ctx, n.nonRec)
 	if err != nil {
@@ -336,25 +341,7 @@ func (n *recursiveUnionNode) Rescan(ctx *Ctx) error {
 	if err := n.nonRec.Rescan(ctx); err != nil {
 		return err
 	}
-	// Re-seed completely.
-	n.phase = 0
-	n.batchIdx = 0
-	n.iterations = 0
-	if n.dedup {
-		n.seen = newTupleSet()
-	}
-	var err error
-	n.working, err = n.drain(ctx, n.nonRec)
-	if err != nil {
-		return err
-	}
-	if n.iterate {
-		if err := n.runToConvergence(ctx); err != nil {
-			return err
-		}
-	}
-	n.batch = n.working
-	return nil
+	return n.reseed(ctx)
 }
 
 func (n *recursiveUnionNode) Close(ctx *Ctx) error {

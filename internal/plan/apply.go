@@ -27,9 +27,9 @@ func hoistInlineApplies(n Node) Node {
 			before := len(subs)
 			c = collectInlineSubs(c, lw, &subs)
 			if len(subs) > before {
-				lifted = append(lifted, inlineSubplans(c))
+				lifted = append(lifted, mapSubplans(c, hoistInlineApplies))
 			} else {
-				keep = append(keep, inlineSubplans(c))
+				keep = append(keep, mapSubplans(c, hoistInlineApplies))
 			}
 		}
 		if len(subs) == 0 {
@@ -49,7 +49,7 @@ func hoistInlineApplies(n Node) Node {
 		lw := x.Child.Width()
 		var subs []*SubplanExpr
 		for i := range x.Exprs {
-			x.Exprs[i] = inlineSubplans(collectInlineSubs(x.Exprs[i], lw, &subs))
+			x.Exprs[i] = mapSubplans(collectInlineSubs(x.Exprs[i], lw, &subs), hoistInlineApplies)
 		}
 		x.Child = chainApplies(x.Child, subs)
 		return x
@@ -58,28 +58,28 @@ func hoistInlineApplies(n Node) Node {
 		lw := x.Child.Width()
 		var subs []*SubplanExpr
 		for i := range x.GroupBy {
-			x.GroupBy[i] = inlineSubplans(collectInlineSubs(x.GroupBy[i], lw, &subs))
+			x.GroupBy[i] = mapSubplans(collectInlineSubs(x.GroupBy[i], lw, &subs), hoistInlineApplies)
 		}
 		for i := range x.Aggs {
 			if x.Aggs[i].Arg != nil {
-				x.Aggs[i].Arg = inlineSubplans(collectInlineSubs(x.Aggs[i].Arg, lw, &subs))
+				x.Aggs[i].Arg = mapSubplans(collectInlineSubs(x.Aggs[i].Arg, lw, &subs), hoistInlineApplies)
 			}
-			x.Aggs[i].Sep = inlineSubplans(x.Aggs[i].Sep)
+			x.Aggs[i].Sep = mapSubplans(x.Aggs[i].Sep, hoistInlineApplies)
 		}
 		x.Child = chainApplies(x.Child, subs)
 		return x
 	case *Result:
 		for i := range x.Exprs {
-			x.Exprs[i] = inlineSubplans(x.Exprs[i])
+			x.Exprs[i] = mapSubplans(x.Exprs[i], hoistInlineApplies)
 		}
 	case *NestLoop:
 		x.Left = hoistInlineApplies(x.Left)
 		x.Right = hoistInlineApplies(x.Right)
-		x.On = inlineSubplans(x.On)
+		x.On = mapSubplans(x.On, hoistInlineApplies)
 	case *HashJoin:
 		x.Left = hoistInlineApplies(x.Left)
 		x.Right = hoistInlineApplies(x.Right)
-		x.Residual = inlineSubplans(x.Residual)
+		x.Residual = mapSubplans(x.Residual, hoistInlineApplies)
 	case *Apply:
 		x.Child = hoistInlineApplies(x.Child)
 		x.Sub = hoistInlineApplies(x.Sub)
@@ -88,17 +88,17 @@ func hoistInlineApplies(n Node) Node {
 	case *Window:
 		x.Child = hoistInlineApplies(x.Child)
 		for i := range x.Funcs {
-			x.Funcs[i].Arg = inlineSubplans(x.Funcs[i].Arg)
+			x.Funcs[i].Arg = mapSubplans(x.Funcs[i].Arg, hoistInlineApplies)
 		}
 	case *Sort:
 		x.Child = hoistInlineApplies(x.Child)
 		for i := range x.Keys {
-			x.Keys[i].Expr = inlineSubplans(x.Keys[i].Expr)
+			x.Keys[i].Expr = mapSubplans(x.Keys[i].Expr, hoistInlineApplies)
 		}
 	case *Limit:
 		x.Child = hoistInlineApplies(x.Child)
-		x.Limit = inlineSubplans(x.Limit)
-		x.Offset = inlineSubplans(x.Offset)
+		x.Limit = mapSubplans(x.Limit, hoistInlineApplies)
+		x.Offset = mapSubplans(x.Offset, hoistInlineApplies)
 	case *Distinct:
 		x.Child = hoistInlineApplies(x.Child)
 	case *Append:
@@ -111,7 +111,7 @@ func hoistInlineApplies(n Node) Node {
 	case *ValuesNode:
 		for _, row := range x.Rows {
 			for i := range row {
-				row[i] = inlineSubplans(row[i])
+				row[i] = mapSubplans(row[i], hoistInlineApplies)
 			}
 		}
 	case *RecursiveUnion:
@@ -199,59 +199,6 @@ func collectInlineSubs(e Expr, base int, subs *[]*SubplanExpr) Expr {
 		// CaseExpr (lazy arms), UDFCallExpr (opaque), leaf refs.
 		return e
 	}
-}
-
-// inlineSubplans recurses hoistInlineApplies into plans nested inside
-// expressions that were not (or could not be) hoisted.
-func inlineSubplans(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *SubplanExpr:
-		x.Plan = hoistInlineApplies(x.Plan)
-		x.CompareX = inlineSubplans(x.CompareX)
-	case *BinOp:
-		x.L = inlineSubplans(x.L)
-		x.R = inlineSubplans(x.R)
-	case *UnaryOp:
-		x.X = inlineSubplans(x.X)
-	case *IsNullExpr:
-		x.X = inlineSubplans(x.X)
-	case *BetweenExpr:
-		x.X = inlineSubplans(x.X)
-		x.Lo = inlineSubplans(x.Lo)
-		x.Hi = inlineSubplans(x.Hi)
-	case *InListExpr:
-		x.X = inlineSubplans(x.X)
-		for i := range x.List {
-			x.List[i] = inlineSubplans(x.List[i])
-		}
-	case *CaseExpr:
-		x.Operand = inlineSubplans(x.Operand)
-		for i := range x.Whens {
-			x.Whens[i].Cond = inlineSubplans(x.Whens[i].Cond)
-			x.Whens[i].Result = inlineSubplans(x.Whens[i].Result)
-		}
-		x.Else = inlineSubplans(x.Else)
-	case *FuncExpr:
-		for i := range x.Args {
-			x.Args[i] = inlineSubplans(x.Args[i])
-		}
-	case *CastExpr:
-		x.X = inlineSubplans(x.X)
-	case *RowCtor:
-		for i := range x.Fields {
-			x.Fields[i] = inlineSubplans(x.Fields[i])
-		}
-	case *FieldSel:
-		x.X = inlineSubplans(x.X)
-	case *UDFCallExpr:
-		for i := range x.Args {
-			x.Args[i] = inlineSubplans(x.Args[i])
-		}
-	}
-	return e
 }
 
 // decorrelateApply converts Apply{C, Project[val](Filter{keys ∧ residual}

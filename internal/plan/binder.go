@@ -33,6 +33,12 @@ type Options struct {
 	// hook (and keeps the batch-size-1 volatile rule). The inlined-vs-
 	// opaque ablation and differential suites flip this.
 	NoInline bool
+	// NoLoop disables the loop/let lowering pass (loop.go): compiled
+	// trampolines stay generic RecursiveUnion plans and let-chains stay
+	// nest loops — the reference plan the lowering is differentially
+	// tested against. Tests set it on direct Build calls; no engine
+	// surface does.
+	NoLoop bool
 }
 
 // scopeCol is one visible column of a scope.
@@ -111,6 +117,9 @@ type binder struct {
 
 	inlinedCalls     int
 	specializedCalls int
+	// subqueries counts nested plans bound into expressions. With no
+	// subquery and no CTE there is nothing for lowerLoops to find.
+	subqueries int
 }
 
 func (b *binder) errf(format string, args ...any) error {
@@ -448,6 +457,7 @@ func (b *binder) bindFuncCall(e *sqlast.FuncCall) (Expr, error) {
 func (b *binder) planSubquery(q *sqlast.Query) (Node, []string, error) {
 	saved := b.inlineExpr
 	b.inlineExpr = false
+	b.subqueries++
 	n, cols, err := b.planQuery(q)
 	b.inlineExpr = saved
 	return n, cols, err

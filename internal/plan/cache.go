@@ -43,6 +43,7 @@ type Cache struct {
 	// every plan built through the cache (the engine's stats surface).
 	plansInlined     atomic.Int64
 	plansSpecialized atomic.Int64
+	plansLooped      atomic.Int64
 }
 
 // maxEntries caps the cache before eviction kicks in.
@@ -138,6 +139,10 @@ func (c *Cache) InlineStats() (inlined, specialized, evictions int64) {
 	return c.plansInlined.Load(), c.plansSpecialized.Load(), c.evictions.Load()
 }
 
+// LoopStats reports how many recursive CTEs were lowered to Loop
+// operators across every plan built through the cache.
+func (c *Cache) LoopStats() int64 { return c.plansLooped.Load() }
+
 // Get returns the cached plan for the query against the caller's catalog
 // snapshot, planning (and caching) on miss. Plans invalidate automatically
 // when the catalog version moves. With caching disabled it skips straight
@@ -163,6 +168,9 @@ func (c *Cache) GetByText(cat *catalog.Catalog, key string, q *sqlast.Query, opt
 	if opts.NoInline {
 		key = "noinline|" + key
 	}
+	if opts.NoLoop {
+		key = "noloop|" + key
+	}
 	if p, ok := c.lookup(cat, key); ok {
 		return p, nil
 	}
@@ -175,6 +183,9 @@ func (c *Cache) GetByText(cat *catalog.Catalog, key string, q *sqlast.Query, opt
 	}
 	if p.SpecializedCalls > 0 {
 		c.plansSpecialized.Add(int64(p.SpecializedCalls))
+	}
+	if p.LoopedCTEs > 0 {
+		c.plansLooped.Add(int64(p.LoopedCTEs))
 	}
 	c.store(key, p)
 	return p, nil

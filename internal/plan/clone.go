@@ -94,7 +94,9 @@ func cloneNode(n Node) Node {
 		return c
 	case *RecursiveUnion:
 		return &RecursiveUnion{NonRec: cloneNode(x.NonRec), Rec: cloneNode(x.Rec),
-			CTEIndex: x.CTEIndex, Iterate: x.Iterate, Dedup: x.Dedup}
+			CTEIndex: x.CTEIndex, Iterate: x.Iterate, Dedup: x.Dedup, NotLowered: x.NotLowered}
+	case *Loop:
+		return &Loop{Seed: cloneExprs(x.Seed), Step: cloneExpr(x.Step), Cont: x.Cont, Out: cloneExprs(x.Out)}
 	case *WithNode:
 		return &WithNode{Indices: append([]int(nil), x.Indices...), Child: cloneNode(x.Child)}
 	default:
@@ -170,6 +172,8 @@ func cloneExpr(e Expr) Expr {
 		return &c
 	case *SubplanExpr:
 		return &SubplanExpr{Mode: x.Mode, Plan: cloneNode(x.Plan), CompareX: cloneExpr(x.CompareX), Negate: x.Negate, FromInline: x.FromInline}
+	case *LetExpr:
+		return &LetExpr{Slots: cloneExprs(x.Slots), Body: cloneExpr(x.Body)}
 	case *UDFCallExpr:
 		return &UDFCallExpr{Func: x.Func, Args: cloneExprs(x.Args)} // catalog fn shared
 	default:

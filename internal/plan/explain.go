@@ -18,9 +18,12 @@ func (p *Plan) Explain() []string { return p.ExplainAnnotated(nil) }
 // the reverse, so the stats travel as an opaque callback).
 func (p *Plan) ExplainAnnotated(annot func(Node) string) []string {
 	var out []string
-	out = append(out, fmt.Sprintf("Plan (nodes=%d inlined=%d specialized=%d)",
-		p.NodeCount, p.InlinedCalls, p.SpecializedCalls))
+	out = append(out, fmt.Sprintf("Plan (nodes=%d inlined=%d specialized=%d looped=%d)",
+		p.NodeCount, p.InlinedCalls, p.SpecializedCalls, p.LoopedCTEs))
 	for i, cte := range p.CTEs {
+		if cte.Plan == nil {
+			continue // lowered: the CTE is the Loop operator in the tree
+		}
 		rec := ""
 		if cte.Recursive {
 			rec = " recursive"
@@ -166,9 +169,19 @@ func explainNode(out []string, n Node, depth int, annot func(Node) string) []str
 		if x.Dedup {
 			attrs += ", dedup"
 		}
+		if x.NotLowered != "" {
+			attrs += ", not lowered: " + x.NotLowered
+		}
 		line("RecursiveUnion (%s)", attrs)
 		out = explainNode(out, x.NonRec, depth+1, annot)
 		out = explainNode(out, x.Rec, depth+1, annot)
+	case *Loop:
+		// The operator line stays bare so ANALYZE can append
+		// "(iterations=N)"; the program it runs follows as detail lines.
+		line("Loop")
+		out = append(out, fmt.Sprintf("%s  seed %s", pad, exprList(x.Seed)))
+		out = explainStep(out, x.Step, pad+"  step ")
+		out = append(out, fmt.Sprintf("%s  while #%d, then emit %s", pad, x.Cont, exprList(x.Out)))
 	case *WithNode:
 		idx := make([]string, len(x.Indices))
 		for i, ix := range x.Indices {
@@ -180,6 +193,33 @@ func explainNode(out []string, n Node, depth int, annot func(Node) string) []str
 		line("%T", n)
 	}
 	return out
+}
+
+// explainStep renders a Loop's step expression as a tree: one line per
+// CASE arm and per Let, so the compiled function's control flow — and
+// which of its lets became slots — reads off the plan.
+func explainStep(out []string, e Expr, pad string) []string {
+	in := strings.Repeat(" ", len(pad)) + "  "
+	switch x := e.(type) {
+	case *CaseExpr:
+		if x.Operand != nil {
+			break
+		}
+		for _, w := range x.Whens {
+			out = append(out, pad+"when "+exprStr(w.Cond))
+			out = explainStep(out, w.Result, in)
+			pad = strings.Repeat(" ", len(pad))
+		}
+		if x.Else != nil {
+			out = append(out, pad+"else")
+			out = explainStep(out, x.Else, in)
+		}
+		return out
+	case *LetExpr:
+		out = append(out, pad+"Let "+exprList(x.Slots))
+		return explainStep(out, x.Body, in)
+	}
+	return append(out, pad+exprStr(e))
 }
 
 func joinKindName(k JoinKind) string {
@@ -266,6 +306,8 @@ func exprStr(e Expr) string {
 			mode += " inline"
 		}
 		return "subplan(" + mode + ")"
+	case *LetExpr:
+		return "Let" + exprList(x.Slots) + "(" + exprStr(x.Body) + ")"
 	case *UDFCallExpr:
 		return "udf:" + x.Func.Name + exprList(x.Args)
 	default:

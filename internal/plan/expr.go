@@ -122,6 +122,23 @@ type SubplanExpr struct {
 	FromInline bool
 }
 
+// LetExpr is a flattened let-chain: the scalar subquery
+//
+//	(SELECT body FROM (SELECT s0) AS _0 LEFT JOIN LATERAL (SELECT s1) AS _1 ON true …)
+//
+// whose FROM items are all FROM-less single-column SELECTs. Its operands
+// are the subplan's own bound expressions, untouched, so it evaluates
+// under the outer-row stack the subplan would have built: the input row
+// is pushed; slot j > 0 additionally sees slots 0..j-1 pushed as one row
+// (the lateral join's left row); Body reads the slots as its input row.
+// Each slot is evaluated exactly once, in order — never substituted — so
+// volatile slots draw in statement order, and a LetExpr inside a CASE arm
+// stays as lazy as the subquery it replaces. flattenLets creates these.
+type LetExpr struct {
+	Slots []Expr
+	Body  Expr
+}
+
 // UDFCallExpr invokes a catalog function. The executor dispatches through
 // the engine's function-call hook: interpreted PL/pgSQL functions switch
 // into the interpreter (a Q→f context switch), compiled functions evaluate
@@ -146,6 +163,7 @@ func (*CastExpr) isExpr()    {}
 func (*RowCtor) isExpr()     {}
 func (*FieldSel) isExpr()    {}
 func (*SubplanExpr) isExpr() {}
+func (*LetExpr) isExpr()     {}
 func (*UDFCallExpr) isExpr() {}
 
 // Builtins declares the scalar functions the binder accepts, mapping name

@@ -26,7 +26,7 @@ func useHashJoins(n Node) Node {
 		if nl, ok := x.Child.(*NestLoop); ok {
 			nl.Left = useHashJoins(nl.Left)
 			nl.Right = useHashJoins(nl.Right)
-			nl.On = hashJoinSubplans(nl.On)
+			nl.On = mapSubplans(nl.On, useHashJoins)
 			if hj, moved := tryHashJoin(nl, x.Pred); hj != nil {
 				x.Child = hj
 				// Bare-column key conjuncts moved into the join's residual
@@ -45,49 +45,49 @@ func useHashJoins(n Node) Node {
 		} else {
 			x.Child = useHashJoins(x.Child)
 		}
-		x.Pred = hashJoinSubplans(x.Pred)
+		x.Pred = mapSubplans(x.Pred, useHashJoins)
 	case *NestLoop:
 		x.Left = useHashJoins(x.Left)
 		x.Right = useHashJoins(x.Right)
-		x.On = hashJoinSubplans(x.On)
+		x.On = mapSubplans(x.On, useHashJoins)
 		if hj, _ := tryHashJoin(x, nil); hj != nil {
 			return hj
 		}
 	case *HashJoin:
 		x.Left = useHashJoins(x.Left)
 		x.Right = useHashJoins(x.Right)
-		x.Residual = hashJoinSubplans(x.Residual)
+		x.Residual = mapSubplans(x.Residual, useHashJoins)
 	case *Apply:
 		x.Child = useHashJoins(x.Child)
 		x.Sub = useHashJoins(x.Sub)
 	case *Project:
 		x.Child = useHashJoins(x.Child)
 		for i := range x.Exprs {
-			x.Exprs[i] = hashJoinSubplans(x.Exprs[i])
+			x.Exprs[i] = mapSubplans(x.Exprs[i], useHashJoins)
 		}
 	case *Result:
 		for i := range x.Exprs {
-			x.Exprs[i] = hashJoinSubplans(x.Exprs[i])
+			x.Exprs[i] = mapSubplans(x.Exprs[i], useHashJoins)
 		}
 	case *Materialize:
 		x.Child = useHashJoins(x.Child)
 	case *Agg:
 		x.Child = useHashJoins(x.Child)
 		for i := range x.GroupBy {
-			x.GroupBy[i] = hashJoinSubplans(x.GroupBy[i])
+			x.GroupBy[i] = mapSubplans(x.GroupBy[i], useHashJoins)
 		}
 		for i := range x.Aggs {
-			x.Aggs[i].Arg = hashJoinSubplans(x.Aggs[i].Arg)
+			x.Aggs[i].Arg = mapSubplans(x.Aggs[i].Arg, useHashJoins)
 		}
 	case *Window:
 		x.Child = useHashJoins(x.Child)
 		for i := range x.Funcs {
-			x.Funcs[i].Arg = hashJoinSubplans(x.Funcs[i].Arg)
+			x.Funcs[i].Arg = mapSubplans(x.Funcs[i].Arg, useHashJoins)
 		}
 	case *Sort:
 		x.Child = useHashJoins(x.Child)
 		for i := range x.Keys {
-			x.Keys[i].Expr = hashJoinSubplans(x.Keys[i].Expr)
+			x.Keys[i].Expr = mapSubplans(x.Keys[i].Expr, useHashJoins)
 		}
 	case *Limit:
 		x.Child = useHashJoins(x.Child)
@@ -103,7 +103,7 @@ func useHashJoins(n Node) Node {
 	case *ValuesNode:
 		for _, row := range x.Rows {
 			for i := range row {
-				row[i] = hashJoinSubplans(row[i])
+				row[i] = mapSubplans(row[i], useHashJoins)
 			}
 		}
 	case *RecursiveUnion:
@@ -113,58 +113,6 @@ func useHashJoins(n Node) Node {
 		x.Child = useHashJoins(x.Child)
 	}
 	return n
-}
-
-// hashJoinSubplans applies useHashJoins to plans nested inside expressions.
-func hashJoinSubplans(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *SubplanExpr:
-		x.Plan = useHashJoins(x.Plan)
-		x.CompareX = hashJoinSubplans(x.CompareX)
-	case *BinOp:
-		x.L = hashJoinSubplans(x.L)
-		x.R = hashJoinSubplans(x.R)
-	case *UnaryOp:
-		x.X = hashJoinSubplans(x.X)
-	case *IsNullExpr:
-		x.X = hashJoinSubplans(x.X)
-	case *BetweenExpr:
-		x.X = hashJoinSubplans(x.X)
-		x.Lo = hashJoinSubplans(x.Lo)
-		x.Hi = hashJoinSubplans(x.Hi)
-	case *InListExpr:
-		x.X = hashJoinSubplans(x.X)
-		for i := range x.List {
-			x.List[i] = hashJoinSubplans(x.List[i])
-		}
-	case *CaseExpr:
-		x.Operand = hashJoinSubplans(x.Operand)
-		for i := range x.Whens {
-			x.Whens[i].Cond = hashJoinSubplans(x.Whens[i].Cond)
-			x.Whens[i].Result = hashJoinSubplans(x.Whens[i].Result)
-		}
-		x.Else = hashJoinSubplans(x.Else)
-	case *FuncExpr:
-		for i := range x.Args {
-			x.Args[i] = hashJoinSubplans(x.Args[i])
-		}
-	case *CastExpr:
-		x.X = hashJoinSubplans(x.X)
-	case *RowCtor:
-		for i := range x.Fields {
-			x.Fields[i] = hashJoinSubplans(x.Fields[i])
-		}
-	case *FieldSel:
-		x.X = hashJoinSubplans(x.X)
-	case *UDFCallExpr:
-		for i := range x.Args {
-			x.Args[i] = hashJoinSubplans(x.Args[i])
-		}
-	}
-	return e
 }
 
 // tryHashJoin attempts the NestLoop → HashJoin conversion. filterPred, when
@@ -350,173 +298,59 @@ func scanExprSplit(e Expr, lw int) exprFlags {
 		return f
 	}
 	switch x := e.(type) {
-	case *Const:
+	case *Const, *ParamRef:
+		return f
 	case *InputRef:
 		if x.Idx < lw {
 			f.hasLeft = true
 		} else {
 			f.hasRight = true
 		}
+		return f
 	case *OuterRef:
 		f.hasOuter = true
-	case *ParamRef:
-	case *BinOp:
-		f.merge(scanExprSplit(x.L, lw))
-		f.merge(scanExprSplit(x.R, lw))
-	case *UnaryOp:
-		f.merge(scanExprSplit(x.X, lw))
-	case *IsNullExpr:
-		f.merge(scanExprSplit(x.X, lw))
-	case *BetweenExpr:
-		f.merge(scanExprSplit(x.X, lw))
-		f.merge(scanExprSplit(x.Lo, lw))
-		f.merge(scanExprSplit(x.Hi, lw))
-	case *InListExpr:
-		f.merge(scanExprSplit(x.X, lw))
-		for _, i := range x.List {
-			f.merge(scanExprSplit(i, lw))
-		}
-	case *CaseExpr:
-		f.merge(scanExprSplit(x.Operand, lw))
-		for _, w := range x.Whens {
-			f.merge(scanExprSplit(w.Cond, lw))
-			f.merge(scanExprSplit(w.Result, lw))
-		}
-		f.merge(scanExprSplit(x.Else, lw))
+		return f
 	case *FuncExpr:
 		if x.Name == "random" || x.Name == "setseed" {
 			f.hasVolatile = true
 		}
-		for _, a := range x.Args {
-			f.merge(scanExprSplit(a, lw))
-		}
-	case *CastExpr:
-		f.merge(scanExprSplit(x.X, lw))
-	case *RowCtor:
-		for _, fd := range x.Fields {
-			f.merge(scanExprSplit(fd, lw))
-		}
-	case *FieldSel:
-		f.merge(scanExprSplit(x.X, lw))
 	case *SubplanExpr:
 		f.hasSubplan = true
-		f.merge(scanExprSplit(x.CompareX, lw))
 		// InputRefs inside the nested plan address that plan's own rows,
 		// not the join's — only the correlation/volatility flags propagate.
-		g := scanNodeFlags(x.Plan)
-		g.hasLeft, g.hasRight = false, false
-		f.merge(g)
+		f.merge(scanNodeFlags(x.Plan))
+	case *LetExpr:
+		// Classified like the subplan it replaces: its operands address the
+		// rows it pushes.
+		f.hasSubplan = true
+		exprChildren(e, func(c Expr) Expr {
+			g := scanExprSplit(c, 0)
+			g.hasLeft, g.hasRight = false, false
+			f.merge(g)
+			return c
+		})
+		return f
 	case *UDFCallExpr:
 		f.hasUDF = true
-		for _, a := range x.Args {
-			f.merge(scanExprSplit(a, lw))
-		}
 	}
+	exprChildren(e, func(c Expr) Expr { f.merge(scanExprSplit(c, lw)); return c })
 	return f
 }
 
-// scanNodeFlags aggregates exprFlags over a whole plan subtree.
+// scanNodeFlags aggregates exprFlags over a whole plan subtree. (An
+// Apply's Sub is correlated on the apply's own rows — OuterRef depth 0 —
+// and reporting that as hasOuter keeps enclosing subtrees conservatively
+// treated as correlated.)
 func scanNodeFlags(n Node) exprFlags {
 	var f exprFlags
 	if n == nil {
 		return f
 	}
-	ex := func(e Expr) { f.merge(scanExprFlags(e)) }
-	switch x := n.(type) {
-	case *Result:
-		for _, e := range x.Exprs {
-			ex(e)
-		}
-	case *SeqScan:
-	case *IndexScan:
-		ex(x.Key)
-	case *CTEScan:
+	if _, ok := n.(*CTEScan); ok {
 		f.hasCTE = true
-	case *Filter:
-		f.merge(scanNodeFlags(x.Child))
-		ex(x.Pred)
-	case *Project:
-		f.merge(scanNodeFlags(x.Child))
-		for _, e := range x.Exprs {
-			ex(e)
-		}
-	case *NestLoop:
-		f.merge(scanNodeFlags(x.Left))
-		f.merge(scanNodeFlags(x.Right))
-		ex(x.On)
-	case *HashJoin:
-		f.merge(scanNodeFlags(x.Left))
-		f.merge(scanNodeFlags(x.Right))
-		for _, e := range x.LeftKeys {
-			ex(e)
-		}
-		for _, e := range x.RightKeys {
-			ex(e)
-		}
-		ex(x.Residual)
-	case *Apply:
-		// Sub is correlated on the apply's own rows (OuterRef depth 0);
-		// reporting hasOuter keeps enclosing subtrees conservatively
-		// treated as correlated.
-		f.merge(scanNodeFlags(x.Child))
-		f.merge(scanNodeFlags(x.Sub))
-	case *Materialize:
-		f.merge(scanNodeFlags(x.Child))
-	case *Agg:
-		f.merge(scanNodeFlags(x.Child))
-		for _, e := range x.GroupBy {
-			ex(e)
-		}
-		for _, a := range x.Aggs {
-			ex(a.Arg)
-			ex(a.Sep)
-		}
-	case *Window:
-		f.merge(scanNodeFlags(x.Child))
-		for _, w := range x.Funcs {
-			ex(w.Arg)
-			ex(w.Offset)
-			for _, p := range w.PartitionBy {
-				ex(p)
-			}
-			for _, o := range w.OrderBy {
-				ex(o.Expr)
-			}
-			if w.Frame != nil {
-				ex(w.Frame.StartOff)
-				ex(w.Frame.EndOff)
-			}
-		}
-	case *Sort:
-		f.merge(scanNodeFlags(x.Child))
-		for _, k := range x.Keys {
-			ex(k.Expr)
-		}
-	case *Limit:
-		f.merge(scanNodeFlags(x.Child))
-		ex(x.Limit)
-		ex(x.Offset)
-	case *Distinct:
-		f.merge(scanNodeFlags(x.Child))
-	case *Append:
-		for _, c := range x.Children {
-			f.merge(scanNodeFlags(c))
-		}
-	case *SetOp:
-		f.merge(scanNodeFlags(x.L))
-		f.merge(scanNodeFlags(x.R))
-	case *ValuesNode:
-		for _, row := range x.Rows {
-			for _, e := range row {
-				ex(e)
-			}
-		}
-	case *RecursiveUnion:
-		f.merge(scanNodeFlags(x.NonRec))
-		f.merge(scanNodeFlags(x.Rec))
-	case *WithNode:
-		f.merge(scanNodeFlags(x.Child))
 	}
+	nodeChildren(n, func(c Node) Node { f.merge(scanNodeFlags(c)); return c })
+	nodeExprs(n, func(e Expr) Expr { f.merge(scanExprFlags(e)); return e })
 	// InputRefs inside a subtree address its own rows; they are not join
 	// correlation.
 	f.hasLeft, f.hasRight = false, false

@@ -53,11 +53,11 @@ func useIndexes(n Node) Node {
 	case *NestLoop:
 		x.Left = useIndexes(x.Left)
 		x.Right = useIndexes(x.Right)
-		x.On = rewriteSubplans(x.On)
+		x.On = mapSubplans(x.On, useIndexes)
 	case *HashJoin:
 		x.Left = useIndexes(x.Left)
 		x.Right = useIndexes(x.Right)
-		x.Residual = rewriteSubplans(x.Residual)
+		x.Residual = mapSubplans(x.Residual, useIndexes)
 	case *Apply:
 		x.Child = useIndexes(x.Child)
 		// The sub's correlation keys are OuterRefs — row-independent from
@@ -92,90 +92,38 @@ func useIndexes(n Node) Node {
 	// Expressions with subplans live in Filter/Project/Result/Values/Agg…
 	switch x := n.(type) {
 	case *Filter:
-		x.Pred = rewriteSubplans(x.Pred)
+		x.Pred = mapSubplans(x.Pred, useIndexes)
 	case *Project:
 		for i := range x.Exprs {
-			x.Exprs[i] = rewriteSubplans(x.Exprs[i])
+			x.Exprs[i] = mapSubplans(x.Exprs[i], useIndexes)
 		}
 	case *Result:
 		for i := range x.Exprs {
-			x.Exprs[i] = rewriteSubplans(x.Exprs[i])
+			x.Exprs[i] = mapSubplans(x.Exprs[i], useIndexes)
 		}
 	case *ValuesNode:
 		for _, row := range x.Rows {
 			for i := range row {
-				row[i] = rewriteSubplans(row[i])
+				row[i] = mapSubplans(row[i], useIndexes)
 			}
 		}
 	case *Agg:
 		for i := range x.GroupBy {
-			x.GroupBy[i] = rewriteSubplans(x.GroupBy[i])
+			x.GroupBy[i] = mapSubplans(x.GroupBy[i], useIndexes)
 		}
 		for i := range x.Aggs {
-			x.Aggs[i].Arg = rewriteSubplans(x.Aggs[i].Arg)
+			x.Aggs[i].Arg = mapSubplans(x.Aggs[i].Arg, useIndexes)
 		}
 	case *Window:
 		for i := range x.Funcs {
-			x.Funcs[i].Arg = rewriteSubplans(x.Funcs[i].Arg)
+			x.Funcs[i].Arg = mapSubplans(x.Funcs[i].Arg, useIndexes)
 		}
 	case *Sort:
 		for i := range x.Keys {
-			x.Keys[i].Expr = rewriteSubplans(x.Keys[i].Expr)
+			x.Keys[i].Expr = mapSubplans(x.Keys[i].Expr, useIndexes)
 		}
 	}
 	return n
-}
-
-// rewriteSubplans applies useIndexes to plans nested inside expressions.
-func rewriteSubplans(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *SubplanExpr:
-		x.Plan = useIndexes(x.Plan)
-		x.CompareX = rewriteSubplans(x.CompareX)
-	case *BinOp:
-		x.L = rewriteSubplans(x.L)
-		x.R = rewriteSubplans(x.R)
-	case *UnaryOp:
-		x.X = rewriteSubplans(x.X)
-	case *IsNullExpr:
-		x.X = rewriteSubplans(x.X)
-	case *BetweenExpr:
-		x.X = rewriteSubplans(x.X)
-		x.Lo = rewriteSubplans(x.Lo)
-		x.Hi = rewriteSubplans(x.Hi)
-	case *InListExpr:
-		x.X = rewriteSubplans(x.X)
-		for i := range x.List {
-			x.List[i] = rewriteSubplans(x.List[i])
-		}
-	case *CaseExpr:
-		x.Operand = rewriteSubplans(x.Operand)
-		for i := range x.Whens {
-			x.Whens[i].Cond = rewriteSubplans(x.Whens[i].Cond)
-			x.Whens[i].Result = rewriteSubplans(x.Whens[i].Result)
-		}
-		x.Else = rewriteSubplans(x.Else)
-	case *FuncExpr:
-		for i := range x.Args {
-			x.Args[i] = rewriteSubplans(x.Args[i])
-		}
-	case *CastExpr:
-		x.X = rewriteSubplans(x.X)
-	case *RowCtor:
-		for i := range x.Fields {
-			x.Fields[i] = rewriteSubplans(x.Fields[i])
-		}
-	case *FieldSel:
-		x.X = rewriteSubplans(x.X)
-	case *UDFCallExpr:
-		for i := range x.Args {
-			x.Args[i] = rewriteSubplans(x.Args[i])
-		}
-	}
-	return e
 }
 
 // splitConjuncts flattens a conjunction.

@@ -212,6 +212,26 @@ type RecursiveUnion struct {
 	CTEIndex    int
 	Iterate     bool
 	Dedup       bool // UNION instead of UNION ALL
+	// NotLowered says why the loop-lowering pass (loop.go) left this CTE
+	// on the generic operator; EXPLAIN prints it.
+	NotLowered string
+}
+
+// Loop runs a tail-recursive trampoline — the shape the PL/SQL compiler
+// emits, recognised structurally by lowerLoops — over one in-place state
+// row instead of a recursive CTE. Seed (no input row) initialises the
+// state; while state column Cont is true, Step is evaluated with the
+// state row pushed as outer row 0 (exactly where the working-table scan's
+// lateral join put it) and its ROW result becomes the next state; once
+// Cont is false the node emits Out, evaluated over the final state, as
+// its single row (no row when Cont ended NULL). It replaces the CTE's
+// WithNode, RecursiveUnion, working scan, join, filter and projections,
+// keeps no trace and writes no tuplestore: WITH ITERATE semantics.
+type Loop struct {
+	Seed []Expr
+	Step Expr
+	Cont int
+	Out  []Expr
 }
 
 // WithNode owns the CTEs of one query level: opening (or rescanning) it
@@ -241,6 +261,7 @@ func (*SetOp) isNode()          {}
 func (*ValuesNode) isNode()     {}
 func (*RecursiveUnion) isNode() {}
 func (*WithNode) isNode()       {}
+func (*Loop) isNode()           {}
 
 // Width implementations.
 func (n *Result) Width() int      { return len(n.Exprs) }
@@ -264,6 +285,7 @@ func (n *RecursiveUnion) Width() int {
 	return n.NonRec.Width()
 }
 func (n *WithNode) Width() int { return n.Child.Width() }
+func (n *Loop) Width() int     { return len(n.Out) }
 
 // CTEDef is one planned common table expression.
 type CTEDef struct {
@@ -291,6 +313,8 @@ type Plan struct {
 	// EXPLAIN and the engine's stats surface report both.
 	InlinedCalls     int
 	SpecializedCalls int
+	// LoopedCTEs counts recursive CTEs lowered to Loop operators.
+	LoopedCTEs int
 }
 
 // CountNodes walks the plan and records NodeCount.
@@ -302,47 +326,7 @@ func (p *Plan) CountNodes() {
 			return
 		}
 		n++
-		switch x := nd.(type) {
-		case *IndexScan:
-			// leaf
-		case *Filter:
-			walk(x.Child)
-		case *Project:
-			walk(x.Child)
-		case *NestLoop:
-			walk(x.Left)
-			walk(x.Right)
-		case *HashJoin:
-			walk(x.Left)
-			walk(x.Right)
-		case *Apply:
-			walk(x.Child)
-			walk(x.Sub)
-		case *Materialize:
-			walk(x.Child)
-		case *Agg:
-			walk(x.Child)
-		case *Window:
-			walk(x.Child)
-		case *Sort:
-			walk(x.Child)
-		case *Limit:
-			walk(x.Child)
-		case *Distinct:
-			walk(x.Child)
-		case *Append:
-			for _, c := range x.Children {
-				walk(c)
-			}
-		case *SetOp:
-			walk(x.L)
-			walk(x.R)
-		case *RecursiveUnion:
-			walk(x.NonRec)
-			walk(x.Rec)
-		case *WithNode:
-			walk(x.Child)
-		}
+		nodeChildren(nd, func(c Node) Node { walk(c); return c })
 	}
 	walk(p.Root)
 	for _, cte := range p.CTEs {

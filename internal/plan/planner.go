@@ -39,6 +39,15 @@ func Build(cat *catalog.Catalog, q *sqlast.Query, opts Options) (*Plan, error) {
 			}
 		}
 	}
+	// Specialise to the compiler's output: trampoline CTEs become Loop
+	// operators and let-chains LetExprs (loop.go). It runs on the settled
+	// tree, so every earlier pass sees exactly the shapes it always saw.
+	// Both shapes need a subquery or a CTE; bulk INSERT … VALUES plans,
+	// which have neither, skip the traversal.
+	looped := 0
+	if !opts.NoLoop && (b.subqueries > 0 || len(b.allCTEs) > 0) {
+		root, looped = lowerLoops(root, b.allCTEs)
+	}
 	// Clean up inlining byproducts (no-op casts, permutation Projects) now
 	// that decorrelation and join selection have settled the tree shape.
 	root = simplifyNode(root)
@@ -55,6 +64,7 @@ func Build(cat *catalog.Catalog, q *sqlast.Query, opts Options) (*Plan, error) {
 		CatalogVersion:   cat.Version,
 		InlinedCalls:     b.inlinedCalls,
 		SpecializedCalls: b.specializedCalls,
+		LoopedCTEs:       looped,
 	}
 	p.CountNodes()
 	return p, nil

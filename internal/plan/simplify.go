@@ -176,6 +176,8 @@ func simplifyExpr(e Expr, schema []sqltypes.Kind, known bool) Expr {
 	case *SubplanExpr:
 		x.Plan = simplifyNode(x.Plan)
 		x.CompareX = simplifyExpr(x.CompareX, schema, known)
+	case *LetExpr:
+		exprChildren(x, func(c Expr) Expr { return simplifyExpr(c, nil, false) })
 	case *UDFCallExpr:
 		for i := range x.Args {
 			x.Args[i] = simplifyExpr(x.Args[i], schema, known)
@@ -199,14 +201,16 @@ func columnPermutation(p *Project) ([]int, bool) {
 }
 
 // remappable reports whether every expression can have its InputRefs
-// rewritten through a column permutation. Subplans are the one holdout:
-// they see the consumer's input row via OuterRef, and retargeting those
-// across a removed Project would need depth-aware rewriting.
+// rewritten through a column permutation. Subplans and lets are the
+// holdouts: they see the consumer's input row via OuterRef, and
+// retargeting those across a removed Project would need depth-aware
+// rewriting.
 func remappable(exprs []Expr) bool {
 	for _, e := range exprs {
 		ok := true
 		walkExpr(e, func(x Expr) {
-			if _, sub := x.(*SubplanExpr); sub {
+			switch x.(type) {
+			case *SubplanExpr, *LetExpr:
 				ok = false
 			}
 		})
@@ -223,49 +227,7 @@ func walkExpr(e Expr, f func(Expr)) {
 		return
 	}
 	f(e)
-	switch x := e.(type) {
-	case *BinOp:
-		walkExpr(x.L, f)
-		walkExpr(x.R, f)
-	case *UnaryOp:
-		walkExpr(x.X, f)
-	case *IsNullExpr:
-		walkExpr(x.X, f)
-	case *BetweenExpr:
-		walkExpr(x.X, f)
-		walkExpr(x.Lo, f)
-		walkExpr(x.Hi, f)
-	case *InListExpr:
-		walkExpr(x.X, f)
-		for _, e := range x.List {
-			walkExpr(e, f)
-		}
-	case *CaseExpr:
-		walkExpr(x.Operand, f)
-		for _, w := range x.Whens {
-			walkExpr(w.Cond, f)
-			walkExpr(w.Result, f)
-		}
-		walkExpr(x.Else, f)
-	case *FuncExpr:
-		for _, e := range x.Args {
-			walkExpr(e, f)
-		}
-	case *CastExpr:
-		walkExpr(x.X, f)
-	case *RowCtor:
-		for _, e := range x.Fields {
-			walkExpr(e, f)
-		}
-	case *FieldSel:
-		walkExpr(x.X, f)
-	case *SubplanExpr:
-		walkExpr(x.CompareX, f)
-	case *UDFCallExpr:
-		for _, e := range x.Args {
-			walkExpr(e, f)
-		}
-	}
+	exprChildren(e, func(c Expr) Expr { walkExpr(c, f); return c })
 }
 
 // remapInputRefs rewrites every InputRef in e through perm.
@@ -452,6 +414,8 @@ func simplifyNode(n Node) Node {
 		x.Rec = simplifyNode(x.Rec)
 	case *WithNode:
 		x.Child = simplifyNode(x.Child)
+	case *Loop:
+		nodeExprs(x, func(e Expr) Expr { return simplifyExpr(e, nil, false) })
 	}
 	return n
 }
