@@ -6,8 +6,8 @@
 // step for step. The grid below must cover the whole corpus — the test
 // fails if a corpus entry has no cases, so new corpus functions cannot
 // silently dodge the differential check. TestDifferentialLoopVsGeneric
-// adds the third regime: the compiled SQL on the generic recursive-CTE
-// plan the Loop lowering replaced.
+// adds two more regimes: the Loop without memos, and the compiled SQL on
+// the generic recursive-CTE plan the Loop lowering replaced.
 package plsqlaway_test
 
 import (
@@ -288,8 +288,10 @@ func TestDifferentialBatchVsTuple(t *testing.T) {
 
 // compiledRun is one compiled corpus function planned by hand in one
 // regime: lowered (the plan the engine builds: trampoline → Loop, lets →
-// slots) or generic (plan.Options.NoLoop: the recursive-CTE plan over
-// nest-loop let chains the lowering replaced). It mirrors what the
+// slots, embedded queries memoised), unmemoised (plan.Options.NoMemo: the
+// same Loop running every embedded query per iteration) or generic
+// (plan.Options.NoLoop: the recursive-CTE plan over nest-loop let chains
+// the lowering replaced). It mirrors what the
 // engine's opaque call path does around such a plan: arguments cast to the
 // parameter types, the result to the return type.
 type compiledRun struct {
@@ -297,7 +299,7 @@ type compiledRun struct {
 	p   *plan.Plan
 }
 
-func planCompiled(t *testing.T, cat *catalog.Catalog, res *plsqlaway.Result, generic bool) compiledRun {
+func planCompiled(t *testing.T, cat *catalog.Catalog, res *plsqlaway.Result, opts plan.Options) compiledRun {
 	t.Helper()
 	q, err := sqlparser.ParseQuery(res.SQL)
 	if err != nil {
@@ -311,9 +313,10 @@ func planCompiled(t *testing.T, cat *catalog.Catalog, res *plsqlaway.Result, gen
 		}
 		return 0, false
 	}
-	p, err := plan.Build(cat, q, plan.Options{Hook: hook, NoLoop: generic})
+	opts.Hook = hook
+	p, err := plan.Build(cat, q, opts)
 	if err != nil {
-		t.Fatalf("plan (generic=%v): %v", generic, err)
+		t.Fatalf("plan (%+v): %v", opts, err)
 	}
 	return compiledRun{res: res, p: p}
 }
@@ -354,13 +357,15 @@ func (c compiledRun) eval(t *testing.T, seed uint64, batch int, args []plsqlaway
 	return v, ctx.Rand.Float64()
 }
 
-// TestDifferentialLoopVsGeneric runs EVERY corpus function in three
-// regimes — interpreted, compiled and lowered to a Loop, compiled on the
-// generic RecursiveUnion plan — in both spellings (WITH RECURSIVE, WITH
-// ITERATE), at batch sizes 1, 7 and the default, over 20 seeds. All three
-// must return the identical value AND leave the random stream at the
-// identical position: the same number of random() draws, which for walk
-// means the lowering kept every stray of the robot in order.
+// TestDifferentialLoopVsGeneric runs EVERY corpus function in four
+// regimes — interpreted, compiled and lowered to a Loop with its embedded
+// queries memoised, the same Loop unmemoised, compiled on the generic
+// RecursiveUnion plan — in both spellings (WITH RECURSIVE, WITH ITERATE),
+// at batch sizes 1, 7 and the default, over 20 seeds. All four must
+// return the identical value AND leave the random stream at the identical
+// position: the same number of random() draws, which for walk means
+// neither the lowering nor the memos dropped or reordered a stray of the
+// robot.
 func TestDifferentialLoopVsGeneric(t *testing.T) {
 	const seeds = 20
 	for name, src := range workload.Corpus {
@@ -400,14 +405,23 @@ func TestDifferentialLoopVsGeneric(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile (iterate=%v): %v", iterate, err)
 				}
-				lowered := planCompiled(t, s.Catalog(), res, false)
-				generic := planCompiled(t, s.Catalog(), res, true)
+				lowered := planCompiled(t, s.Catalog(), res, plan.Options{})
+				unmemoised := planCompiled(t, s.Catalog(), res, plan.Options{NoMemo: true})
+				generic := planCompiled(t, s.Catalog(), res, plan.Options{NoLoop: true})
 				// The regimes are what they claim to be. (Loop-less
 				// functions compile to one expression: nothing to lower.)
 				recursive := strings.Contains(res.SQL, "WITH ")
 				if lt := strings.Join(lowered.p.Explain(), "\n"); recursive &&
 					(lowered.p.LoopedCTEs != 1 || strings.Contains(lt, "RecursiveUnion")) {
 					t.Fatalf("iterate=%v: compiled plan was not lowered:\n%s", iterate, lt)
+				}
+				// Every embedded query of the corpus is pure and reads no
+				// CTE: each one gets a memo, and NoMemo takes them away.
+				if lt := strings.Join(lowered.p.Explain(), "\n"); strings.Count(lt, "Memo [") != strings.Count(lt, "\n  subplan(") {
+					t.Fatalf("iterate=%v: not every embedded query is memoised:\n%s", iterate, lt)
+				}
+				if ut := strings.Join(unmemoised.p.Explain(), "\n"); strings.Contains(ut, "Memo") {
+					t.Fatalf("iterate=%v: NoMemo plan has a memo:\n%s", iterate, ut)
 				}
 				if gt := strings.Join(generic.p.Explain(), "\n"); generic.p.LoopedCTEs != 0 || strings.Contains(gt, "Let") ||
 					(recursive && !strings.Contains(gt, "RecursiveUnion")) {
@@ -418,7 +432,7 @@ func TestDifferentialLoopVsGeneric(t *testing.T) {
 						for _, regime := range []struct {
 							label string
 							run   compiledRun
-						}{{"loop", lowered}, {"generic", generic}} {
+						}{{"loop", lowered}, {"unmemoised", unmemoised}, {"generic", generic}} {
 							v, draw := regime.run.eval(t, uint64(seed+1), batch, argsOf(seed))
 							if !sqltypes.Identical(v, want[seed].v) {
 								t.Errorf("%s iterate=%v batch=%d seed=%d: %v, interpreted %v (args %v)",

@@ -5,6 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"plsqlaway/internal/exec"
+	"plsqlaway/internal/plan"
+	"plsqlaway/internal/sqlast"
+	"plsqlaway/internal/sqlparser"
 	"plsqlaway/internal/sqltypes"
 )
 
@@ -118,4 +122,77 @@ func TestLoopAllocsPin(t *testing.T) {
 		t.Errorf("fibonacci_c allocates %.2f times per iteration (%.0f at n=90, %.0f at n=1), budget 2",
 			perIter, allocs90, allocs1)
 	}
+}
+
+// TestMemoAllocsPin pins the memo's two paths inside a Loop. A hit — the
+// embedded query's key seen before in this statement — replays cached
+// rows and allocates nothing; a miss runs the query and records its rows
+// into slabs shared by every entry, so it may allocate only a bounded
+// amount more than the same loop planned with NoMemo. Both are measured
+// per iteration of a hand-written trampoline whose step reads kv once:
+// keyed on the state column m = i % 4 (all hits after four) or on i (all
+// misses).
+func TestMemoAllocsPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is slow under -short")
+	}
+	s := New(WithSeed(42)).NewSession()
+	if err := s.Exec("CREATE TABLE kv (k int, v int); CREATE INDEX ON kv (k)"); err != nil {
+		t.Fatal(err)
+	}
+	ins, err := s.Prepare("INSERT INTO kv VALUES ($1, $2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 2000; k++ {
+		if err := ins.Exec(sqltypes.NewInt(k), sqltypes.NewInt(k%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loop := func(key string) *sqlast.Query {
+		q, err := sqlparser.ParseQuery(`WITH RECURSIVE st(go_on, i, acc, m) AS (
+  SELECT true, 0, 0, 0
+  UNION ALL
+  SELECT (nx.v).f1, (nx.v).f2, (nx.v).f3, (nx.v).f4
+  FROM st AS s, LATERAL (SELECT CASE WHEN s.i < $1
+                                     THEN ROW(true, s.i + 1, s.acc + (SELECT kv.v FROM kv WHERE kv.k = ` + key + `), (s.i + 1) % 4)
+                                     ELSE ROW(false, s.i, s.acc, s.m) END AS v) AS nx
+  WHERE s.go_on)
+SELECT s.acc FROM st AS s WHERE NOT s.go_on`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	// perIteration runs the plan for 1000 and for 100 iterations and
+	// returns the allocations the extra 900 cost, each.
+	perIteration := func(q *sqlast.Query, opts plan.Options) float64 {
+		p, err := plan.Build(s.Catalog(), q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measure := func(n int64) float64 {
+			return testing.AllocsPerRun(20, func() {
+				ctx := s.newCtx()
+				ctx.Params = []sqltypes.Value{sqltypes.NewInt(n)}
+				ex, err := exec.Instantiate(p, ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ex.Run(); err != nil {
+					t.Fatal(err)
+				}
+				ex.Shutdown()
+			})
+		}
+		return (measure(1000) - measure(100)) / 900
+	}
+	if hit := perIteration(loop("s.m"), plan.Options{}); hit > 0.01 {
+		t.Errorf("a memo hit allocates %.2f times, want 0", hit)
+	}
+	miss, plain := perIteration(loop("s.i"), plan.Options{}), perIteration(loop("s.i"), plan.Options{NoMemo: true})
+	if miss-plain > 0.5 {
+		t.Errorf("a memo miss allocates %.2f times, the query without memo %.2f: budget +0.5", miss, plain)
+	}
+	t.Logf("per iteration: hit 0, miss %.2f, unmemoised %.2f", miss, plain)
 }

@@ -126,6 +126,7 @@ type shared struct {
 	pins       pinSet
 
 	storageStats *storage.Stats
+	memoStats    exec.MemoStats
 	cache        *plan.Cache
 	prof         profile.Profile
 	workMem      int

@@ -89,6 +89,10 @@ func newMetrics(reg *obs.Registry, sh *shared) *metrics {
 	reg.CounterFunc("plsql_plan_specialized_total", "Constant-specialized call sites.", func() int64 { _, sp, _ := cache.InlineStats(); return sp })
 	reg.CounterFunc("plsql_plan_loops_lowered_total", "Recursive CTEs lowered to Loop operators.", cache.LoopStats)
 	reg.GaugeFunc("plsql_plan_cache_size", "Plans currently cached.", func() int64 { return int64(cache.Len()) })
+
+	memo := &sh.memoStats
+	reg.CounterFunc("plsql_exec_memo_hits_total", "Loop subplan evaluations replayed from a memo.", memo.Hits.Load)
+	reg.CounterFunc("plsql_exec_memo_misses_total", "Loop subplan evaluations that ran under a memo.", memo.Misses.Load)
 	return m
 }
 

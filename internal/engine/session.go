@@ -97,6 +97,7 @@ func (s *Session) newCtx() *exec.Ctx {
 	ctx := exec.NewCtx()
 	ctx.Rand = s.rng
 	ctx.StorageStats = s.sh.storageStats
+	ctx.Memo = &s.sh.memoStats
 	ctx.WorkMem = s.sh.workMem
 	ctx.MaxRecursion = s.sh.maxRecursion
 	ctx.CallFn = s.callFunction
@@ -1429,9 +1430,21 @@ func (s *Session) compileRowClauses(tbl *catalog.Table, alias string, where sqla
 	if len(sel.Items) == 0 {
 		return nil, nil, nil, nil
 	}
-	p, err := plan.Build(s.cur.cat, sqlast.WrapQuery(sel), s.planOpts())
+	q, opts := sqlast.WrapQuery(sel), s.planOpts()
+	p, err := plan.Build(s.cur.cat, q, opts)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	if proj, ok := p.Root.(*plan.Project); ok && !opts.NoInline {
+		if _, scan := proj.Child.(*plan.SeqScan); !scan {
+			// Inlining moved a call's body into operators below the
+			// projection (an Apply, a hash join). The clauses are evaluated
+			// one stored row at a time, so keep the calls opaque instead.
+			opts.NoInline = true
+			if p, err = plan.Build(s.cur.cat, q, opts); err != nil {
+				return nil, nil, nil, err
+			}
+		}
 	}
 	proj, ok := p.Root.(*plan.Project)
 	if !ok {

@@ -20,17 +20,19 @@ type NodeStats struct {
 }
 
 // Analyzer correlates an instantiated node tree back to the plan tree it
-// came from. Instantiation clones the plan before building nodes, so the
-// cloned nodes' identities are stable keys for the whole execution; after
-// the run, Lines renders the clone through plan.ExplainAnnotated with each
-// node's actuals appended.
+// came from: each plan node is instantiated once per execution, so its
+// identity is a stable key for the whole execution; after the run, Lines
+// renders the plan through plan.ExplainAnnotated with each node's actuals
+// appended. Memo operators live inside subplans, which are not wrapped;
+// their hit counts come from the execution's own list of them.
 type Analyzer struct {
 	plan  *plan.Plan
+	ctx   *Ctx
 	stats map[plan.Node]*NodeStats
 }
 
-func newAnalyzer(pc *plan.Plan) *Analyzer {
-	return &Analyzer{plan: pc, stats: make(map[plan.Node]*NodeStats)}
+func newAnalyzer(p *plan.Plan, ctx *Ctx) *Analyzer {
+	return &Analyzer{plan: p, ctx: ctx, stats: make(map[plan.Node]*NodeStats)}
 }
 
 func (a *Analyzer) statsFor(p plan.Node) *NodeStats {
@@ -68,6 +70,9 @@ func (a *Analyzer) Lines() []string {
 // rows for hash joins, input rows for filters (survival rate = rows/in),
 // and inclusive wall time last so goldens can regex it away.
 func (a *Analyzer) annotate(p plan.Node) string {
+	if m, ok := p.(*plan.Memo); ok {
+		return a.memoActuals(m)
+	}
 	st := a.stats[p]
 	if st == nil {
 		return ""
@@ -89,6 +94,21 @@ func (a *Analyzer) annotate(p plan.Node) string {
 		}
 	}
 	return s + fmt.Sprintf(" time=%s)", st.Time.Round(time.Microsecond))
+}
+
+// memoActuals renders a memo's hits and misses over the execution.
+func (a *Analyzer) memoActuals(p *plan.Memo) string {
+	var hits, misses int64
+	seen := false
+	for _, m := range a.ctx.memos {
+		if m.src == p {
+			hits, misses, seen = hits+m.hits, misses+m.misses, true
+		}
+	}
+	if !seen {
+		return "  (never executed)"
+	}
+	return fmt.Sprintf("  (memo hits=%d misses=%d)", hits, misses)
 }
 
 // analyzedNode is the per-node instrumentation shim: it times NextBatch

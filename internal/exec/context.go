@@ -108,9 +108,14 @@ type Ctx struct {
 	CallDepth    int
 	MaxCallDepth int
 
+	// Memo, when set, accumulates the memo operators' hits and misses
+	// across executions (see MemoStats).
+	Memo *MemoStats
+
 	cteStores  []*storage.TupleStore
 	cteWorking []*rowSet
 	cteDefs    []Node
+	memos      []*memoNode // memo operators this execution opened
 }
 
 // NewCtx builds a context with engine defaults.

@@ -21,11 +21,11 @@ type Executor struct {
 	buf *Batch // Stream's shuttle batch
 }
 
-// Instantiate builds executor state from a (cached) plan. Like
-// PostgreSQL's plan cache + ExecutorStart, it first deep-copies the plan
-// tree (the cached original must stay pristine) and then allocates the
+// Instantiate builds executor state from a (cached) plan: it allocates the
 // executor-node tree — the per-call work the paper's Figure 3 profiles as
-// f→Qi context-switch overhead.
+// f→Qi context-switch overhead. The plan itself is only read (every piece
+// of runtime state lives in the node tree), so a cached plan is shared by
+// all its executions, concurrent ones included, without a copy.
 func Instantiate(p *plan.Plan, ctx *Ctx) (*Executor, error) {
 	e, _, err := instantiate(p, ctx, false)
 	return e, err
@@ -51,17 +51,16 @@ func instantiate(p *plan.Plan, ctx *Ctx, analyze bool) (*Executor, *Analyzer, er
 	if ctx.BatchSize > 1 && p.HasVolatile() {
 		ctx.BatchSize = 1
 	}
-	pc := p.Clone()
 	var ana *Analyzer
 	if analyze {
-		ana = newAnalyzer(pc)
+		ana = newAnalyzer(p, ctx)
 	}
-	root, err := instantiateNode(pc.Root, ana)
+	root, err := instantiateNode(p.Root, ana)
 	if err != nil {
 		return nil, nil, err
 	}
-	defs := make([]Node, len(pc.CTEs))
-	for i, cte := range pc.CTEs {
+	defs := make([]Node, len(p.CTEs))
+	for i, cte := range p.CTEs {
 		if cte.Plan == nil {
 			continue
 		}
@@ -119,6 +118,7 @@ func (e *Executor) Stream(fn func(*Batch) error) error {
 func (e *Executor) Shutdown() {
 	e.root.Close(e.ctx)
 	e.ctx.releaseStores()
+	e.ctx.flushMemos()
 	teardown(e.root)
 	for _, d := range e.ctx.cteDefs {
 		if d != nil {
@@ -212,5 +212,8 @@ func teardown(n Node) {
 	case *loopNode:
 		x.seed, x.step, x.out = nil, nil, nil
 		x.cur, x.next, x.result = nil, nil, nil
+	case *memoNode:
+		teardown(x.child)
+		x.child, x.slots, x.entries, x.keyBytes, x.rows, x.probe = nil, nil, nil, nil, nil, nil
 	}
 }

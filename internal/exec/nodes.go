@@ -194,6 +194,8 @@ func instantiateNodeRaw(p plan.Node, ana *Analyzer) (Node, error) {
 		return &withNode{indices: x.Indices, child: child}, nil
 	case *plan.Loop:
 		return instantiateLoop(x)
+	case *plan.Memo:
+		return instantiateMemo(x, ana)
 	default:
 		return nil, fmt.Errorf("exec: cannot instantiate plan node %T", p)
 	}

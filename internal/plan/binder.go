@@ -39,6 +39,10 @@ type Options struct {
 	// tested against. Tests set it on direct Build calls; no engine
 	// surface does.
 	NoLoop bool
+	// NoMemo disables the memo pass (memo.go): the subplans of a Loop run
+	// on every iteration — the reference the memoised plan is
+	// differentially tested against. Like NoLoop, tests only.
+	NoMemo bool
 }
 
 // scopeCol is one visible column of a scope.

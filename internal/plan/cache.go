@@ -16,8 +16,8 @@ import (
 // The cache is shared by all sessions of an engine and safe for concurrent
 // use: the entry map is guarded by a readers-writer mutex and the hit/miss
 // counters are atomic. Cached *Plan values are immutable once stored
-// (executors deep-copy before instantiating), so handing the same plan to
-// many sessions at once is sound. The catalog is copy-on-write, so every
+// (executors only read them), so handing the same plan to many sessions
+// at once is sound. The catalog is copy-on-write, so every
 // lookup takes the caller's pinned catalog snapshot: a plan hits only if
 // it was built against the same catalog version the caller sees, which
 // both invalidates plans after DDL and keeps sessions pinned to an older
@@ -170,6 +170,9 @@ func (c *Cache) GetByText(cat *catalog.Catalog, key string, q *sqlast.Query, opt
 	}
 	if opts.NoLoop {
 		key = "noloop|" + key
+	}
+	if opts.NoMemo {
+		key = "nomemo|" + key
 	}
 	if p, ok := c.lookup(cat, key); ok {
 		return p, nil

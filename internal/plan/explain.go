@@ -182,6 +182,20 @@ func explainNode(out []string, n Node, depth int, annot func(Node) string) []str
 		out = append(out, fmt.Sprintf("%s  seed %s", pad, exprList(x.Seed)))
 		out = explainStep(out, x.Step, pad+"  step ")
 		out = append(out, fmt.Sprintf("%s  while #%d, then emit %s", pad, x.Cont, exprList(x.Out)))
+		// Then the embedded queries, in the order they appear above, each
+		// under the memo decision its inline mention also carries.
+		nodeExprs(x, func(e Expr) Expr {
+			return mapExpr(e, func(y Expr) Expr {
+				if sp, ok := y.(*SubplanExpr); ok {
+					out = append(out, pad+"  "+exprStr(sp))
+					out = explainNode(out, sp.Plan, depth+2, annot)
+				}
+				return y
+			})
+		})
+	case *Memo:
+		line("Memo %s", refList(x.Keys))
+		out = explainNode(out, x.Child, depth+1, annot)
 	case *WithNode:
 		idx := make([]string, len(x.Indices))
 		for i, ix := range x.Indices {
@@ -304,6 +318,9 @@ func exprStr(e Expr) string {
 		}
 		if x.FromInline {
 			mode += " inline"
+		}
+		if x.MemoNote != "" {
+			return "subplan(" + mode + ") " + x.MemoNote
 		}
 		return "subplan(" + mode + ")"
 	case *LetExpr:

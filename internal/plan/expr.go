@@ -120,6 +120,10 @@ type SubplanExpr struct {
 	// nodes — and from there decorrelate into hash joins — without
 	// changing evaluation semantics.
 	FromInline bool
+	// MemoNote is the memo pass's decision for a subplan inside a Loop
+	// (memo.go) — where its Memo went, or why there is none. EXPLAIN
+	// prints it; it is empty everywhere else.
+	MemoNote string
 }
 
 // LetExpr is a flattened let-chain: the scalar subquery

@@ -229,22 +229,35 @@ func TestLetKeepsVolatilePlansVolatile(t *testing.T) {
 	}
 }
 
-func TestCloneCopiesLoopAndLet(t *testing.T) {
+// TestLoopPlanIsSharedNotCopied: executors only read a plan, so one Loop
+// plan — the shape a cached compiled function has — serves several
+// instantiations, interleaved, without a copy, and is unchanged by them.
+func TestLoopPlanIsSharedNotCopied(t *testing.T) {
 	sql := "WITH RECURSIVE " + strings.Replace(sumToCTE, "ROW(true, s.i + 1, s.acc + s.i)",
 		"(SELECT ROW(true, j, s.acc + s.i) FROM (SELECT s.i + 1) AS x(j))", 1) + sumToQuery
 	p := build(t, sql, plan.Options{})
-	c := p.Clone()
-	orig, dup := p.Root.(*plan.Loop), c.Root.(*plan.Loop)
-	if orig == dup || orig.Step == dup.Step {
-		t.Fatal("Loop not deep-copied")
+	before := explain(p)
+	var exs []*exec.Executor
+	for i := 0; i < 2; i++ {
+		ex, err := exec.Instantiate(p, exec.NewCtx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		exs = append(exs, ex)
 	}
-	letOf := func(l *plan.Loop) *plan.LetExpr {
-		return l.Step.(*plan.CaseExpr).Whens[0].Result.(*plan.LetExpr)
+	for _, ex := range exs {
+		rows, err := ex.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(rows); got != "[[55 11]]" {
+			t.Errorf("rows %s", got)
+		}
 	}
-	if letOf(orig) == letOf(dup) || letOf(orig).Slots[0] == letOf(dup).Slots[0] {
-		t.Error("LetExpr not deep-copied")
+	for _, ex := range exs {
+		ex.Shutdown()
 	}
-	if got := run(t, c); got != "[[55 11]]" {
-		t.Errorf("clone rows %s", got)
+	if after := explain(p); after != before {
+		t.Errorf("running the plan changed it:\n%s\n--\n%s", before, after)
 	}
 }

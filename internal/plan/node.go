@@ -234,6 +234,18 @@ type Loop struct {
 	Out  []Expr
 }
 
+// Memo caches its child's rows by the values of Keys — the outer-row
+// columns the child reads — for the lifetime of the executor instance,
+// i.e. one statement at one snapshot: a key seen before replays the rows
+// its first evaluation produced instead of running the child again. The
+// memo pass (memo.go) places it, only inside the subplans of a Loop and
+// only over pure subtrees; with no keys it runs its child once per
+// instance (loop-invariant hoisting).
+type Memo struct {
+	Child Node
+	Keys  []OuterRef
+}
+
 // WithNode owns the CTEs of one query level: opening (or rescanning) it
 // resets and eagerly materializes them so correlated CTE bodies see the
 // current outer bindings.
@@ -262,6 +274,7 @@ func (*ValuesNode) isNode()     {}
 func (*RecursiveUnion) isNode() {}
 func (*WithNode) isNode()       {}
 func (*Loop) isNode()           {}
+func (*Memo) isNode()           {}
 
 // Width implementations.
 func (n *Result) Width() int      { return len(n.Exprs) }
@@ -286,6 +299,7 @@ func (n *RecursiveUnion) Width() int {
 }
 func (n *WithNode) Width() int { return n.Child.Width() }
 func (n *Loop) Width() int     { return len(n.Out) }
+func (n *Memo) Width() int     { return n.Child.Width() }
 
 // CTEDef is one planned common table expression.
 type CTEDef struct {

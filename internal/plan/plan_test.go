@@ -94,23 +94,29 @@ func TestIndexScanNotUsedForVolatileKey(t *testing.T) {
 
 func TestCloneIsDeepForExprs(t *testing.T) {
 	cat := testCatalog(t)
-	p := buildPlan(t, cat, "SELECT a + 1 FROM t WHERE a BETWEEN 1 AND (SELECT max(a) FROM t)")
-	c := p.Clone()
-	// Mutate the clone's filter; the original must be unaffected.
-	origFilter := p.Root.(*Project).Child.(*Filter)
-	cloneFilter := c.Root.(*Project).Child.(*Filter)
-	if origFilter == cloneFilter {
-		t.Fatal("filter not copied")
+	p := buildPlan(t, cat, "SELECT a + 1 FROM t WHERE a BETWEEN 1 AND (SELECT max(a) FROM t) AND a IN (2, a * 3)")
+	orig := p.Root.(*Project).Child.(*Filter).Pred
+	before := exprStr(orig)
+	c := cloneExpr(orig)
+	if exprStr(c) != before {
+		t.Fatalf("clone renders %s, original %s", exprStr(c), before)
 	}
-	cloneFilter.Pred = &Const{Val: sqltypes.NewBool(false)}
-	if _, ok := origFilter.Pred.(*Const); ok {
-		t.Error("clone shares predicate with original")
+	// Rewriting the copy in place — what the join-key passes do — must
+	// leave the original alone, operand lists included.
+	mapExpr(c, func(e Expr) Expr {
+		switch x := e.(type) {
+		case *InputRef:
+			x.Idx += 7
+		case *InListExpr:
+			x.List[0] = &Const{Val: sqltypes.NewInt(99)}
+		}
+		return e
+	})
+	if exprStr(orig) != before {
+		t.Errorf("rewriting the clone changed the original: %s, was %s", exprStr(orig), before)
 	}
-	// Table pointers are shared (relcache analogy).
-	origScan := origFilter.Child.(*SeqScan)
-	cloneScan := c.Root.(*Project).Child.(*Filter).Child.(*SeqScan)
-	if origScan.Table != cloneScan.Table {
-		t.Error("table pointer should be shared")
+	if exprStr(c) == before {
+		t.Error("the rewrite did not reach the clone")
 	}
 }
 

@@ -56,6 +56,14 @@ func Build(cat *catalog.Catalog, q *sqlast.Query, opts Options) (*Plan, error) {
 			b.allCTEs[i].Plan = simplifyNode(b.allCTEs[i].Plan)
 		}
 	}
+	// Memoise the embedded queries of the loops just lowered (memo.go),
+	// on the final tree so the keys are the outer references it reads.
+	if looped > 0 && !opts.NoMemo {
+		root = memoiseLoops(root)
+		for i := range b.allCTEs {
+			b.allCTEs[i].Plan = memoiseLoops(b.allCTEs[i].Plan)
+		}
+	}
 	p := &Plan{
 		Root:             root,
 		Cols:             names,

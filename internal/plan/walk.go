@@ -53,6 +53,8 @@ func nodeChildren(n Node, f func(Node) Node) {
 		set(&x.Rec)
 	case *WithNode:
 		set(&x.Child)
+	case *Memo:
+		set(&x.Child)
 	}
 }
 
@@ -222,4 +224,78 @@ func mapPlan(n Node, fn func(Node) Node, fe func(Expr) Expr) Node {
 		})
 	})
 	return fn(n)
+}
+
+// cloneExpr deep-copies an expression for the passes that rewrite a copy
+// in place (join-key rebasing in hashjoin.go and apply.go): each node and
+// operand list is copied, then exprChildren swaps in copies of the
+// operands. A nested subplan's operator tree is shared, not copied — no
+// caller rewrites inside one.
+func cloneExpr(e Expr) Expr {
+	var c Expr
+	switch x := e.(type) {
+	case nil:
+		return nil
+	case *Const:
+		v := *x
+		return &v
+	case *InputRef:
+		v := *x
+		return &v
+	case *OuterRef:
+		v := *x
+		return &v
+	case *ParamRef:
+		v := *x
+		return &v
+	case *BinOp:
+		v := *x
+		c = &v
+	case *UnaryOp:
+		v := *x
+		c = &v
+	case *IsNullExpr:
+		v := *x
+		c = &v
+	case *BetweenExpr:
+		v := *x
+		c = &v
+	case *InListExpr:
+		v := *x
+		v.List = append([]Expr(nil), x.List...)
+		c = &v
+	case *CaseExpr:
+		v := *x
+		v.Whens = append([]CaseWhen(nil), x.Whens...)
+		c = &v
+	case *FuncExpr:
+		v := *x
+		v.Args = append([]Expr(nil), x.Args...)
+		c = &v
+	case *CastExpr:
+		v := *x
+		c = &v
+	case *RowCtor:
+		v := *x
+		v.Fields = append([]Expr(nil), x.Fields...)
+		c = &v
+	case *FieldSel:
+		v := *x
+		c = &v
+	case *SubplanExpr:
+		v := *x
+		c = &v
+	case *LetExpr:
+		v := *x
+		v.Slots = append([]Expr(nil), x.Slots...)
+		c = &v
+	case *UDFCallExpr:
+		v := *x
+		v.Args = append([]Expr(nil), x.Args...)
+		c = &v
+	default:
+		return e
+	}
+	exprChildren(c, cloneExpr)
+	return c
 }

@@ -55,12 +55,16 @@ func EncodeTuple(t Tuple) []byte {
 	buf := make([]byte, 0, payloadSize(t))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(t)))
 	for _, v := range t {
-		buf = encodeValue(buf, v)
+		buf = AppendValue(buf, v)
 	}
 	return buf
 }
 
-func encodeValue(buf []byte, v sqltypes.Value) []byte {
+// AppendValue appends v's self-delimiting, kind-tagged encoding — one field
+// of EncodeTuple's format — to buf. Two values encode to the same bytes
+// exactly when they have the same kind and payload: 1, 1.0 and '1' differ,
+// floats compare bit for bit, NULL equals NULL.
+func AppendValue(buf []byte, v sqltypes.Value) []byte {
 	buf = append(buf, byte(v.Kind()))
 	switch v.Kind() {
 	case sqltypes.KindNull:
@@ -86,7 +90,7 @@ func encodeValue(buf []byte, v sqltypes.Value) []byte {
 		fields := v.Row()
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(fields)))
 		for _, f := range fields {
-			buf = encodeValue(buf, f)
+			buf = AppendValue(buf, f)
 		}
 	}
 	return buf
