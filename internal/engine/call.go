@@ -15,12 +15,13 @@ import (
 //
 //   - PL/pgSQL: a Q→f context switch into the statement-by-statement
 //     interpreter, whose embedded queries then pay f→Qi switches;
-//   - LANGUAGE SQL: the body query runs through a fresh executor per call
-//     (one instantiation, no interpreter);
+//   - LANGUAGE SQL: the body query runs through an executor per call (a
+//     tree from the session's pool once the body has run twice; no
+//     interpreter);
 //   - compiled: identical mechanics to LANGUAGE SQL, but the body is the
 //     pure-SQL WITH RECURSIVE form the compiler emitted — the interpreter
 //     is gone. (Inlining via sqlgen.InlineCall removes even the per-call
-//     instantiation.)
+//     executor start.)
 func (s *Session) callFunction(f *catalog.Function, args []sqltypes.Value) (sqltypes.Value, error) {
 	if s.callDepth >= s.sh.maxCallDepth {
 		return sqltypes.Null, fmt.Errorf("engine: call stack depth limit (%d) exceeded in %s — recursive UDFs hit stack limits, as the paper warns; use the WITH RECURSIVE form", s.sh.maxCallDepth, f.Name)
@@ -52,8 +53,9 @@ func (s *Session) callFunction(f *catalog.Function, args []sqltypes.Value) (sqlt
 }
 
 // callSQLBody evaluates a SQL-bodied function: plan cached per function
-// (shared across sessions), instantiated per call through the same
-// execPlan every statement uses.
+// (shared across sessions), run per call through the same execPlan every
+// statement uses — on a pooled tree, and on a tree of its own when the
+// function recurses.
 func (s *Session) callSQLBody(f *catalog.Function, args []sqltypes.Value) (sqltypes.Value, error) {
 	hook := func(name string) (int, bool) {
 		for i, p := range f.Params {

@@ -126,7 +126,7 @@ type shared struct {
 	pins       pinSet
 
 	storageStats *storage.Stats
-	memoStats    exec.MemoStats
+	execStats    exec.Stats
 	cache        *plan.Cache
 	prof         profile.Profile
 	workMem      int

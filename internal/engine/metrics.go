@@ -90,9 +90,11 @@ func newMetrics(reg *obs.Registry, sh *shared) *metrics {
 	reg.CounterFunc("plsql_plan_loops_lowered_total", "Recursive CTEs lowered to Loop operators.", cache.LoopStats)
 	reg.GaugeFunc("plsql_plan_cache_size", "Plans currently cached.", func() int64 { return int64(cache.Len()) })
 
-	memo := &sh.memoStats
-	reg.CounterFunc("plsql_exec_memo_hits_total", "Loop subplan evaluations replayed from a memo.", memo.Hits.Load)
-	reg.CounterFunc("plsql_exec_memo_misses_total", "Loop subplan evaluations that ran under a memo.", memo.Misses.Load)
+	ex := &sh.execStats
+	reg.CounterFunc("plsql_exec_memo_hits_total", "Loop subplan evaluations replayed from a memo.", ex.MemoHits.Load)
+	reg.CounterFunc("plsql_exec_memo_misses_total", "Loop subplan evaluations that ran under a memo.", ex.MemoMisses.Load)
+	reg.CounterFunc("plsql_exec_trees_built_total", "Executor trees instantiated from a plan.", ex.TreesBuilt.Load)
+	reg.CounterFunc("plsql_exec_trees_reused_total", "Runs served by an executor tree a session kept from an earlier run.", ex.TreesReused.Load)
 	return m
 }
 

@@ -32,6 +32,13 @@ type Session struct {
 	counters *profile.Counters
 	interp   *plinterp.Interpreter
 
+	// pool keeps the executor trees of plans this session runs again
+	// (exec.Pool); callFn and overlay are the hooks every run context
+	// carries, built once so binding a run allocates nothing.
+	pool    exec.Pool
+	callFn  exec.CallFunc
+	overlay func(h *storage.Heap) *storage.HeapOverlay
+
 	// callDepth guards runaway UDF recursion across nested callFunction
 	// invocations (PostgreSQL's max_stack_depth, in spirit).
 	callDepth int
@@ -86,21 +93,37 @@ func newSession(sh *shared) *Session {
 		rng:      exec.NewRand(sh.seed),
 		counters: &profile.Counters{},
 	}
-	s.interp = plinterp.New(sh.state.Load().cat, sh.cache, s.counters, s.newCtx)
+	s.callFn = s.callFunction
+	s.overlay = func(h *storage.Heap) *storage.HeapOverlay { return s.txn.writes[h] }
+	s.interp = plinterp.New(sh.state.Load().cat, sh.cache, s.counters, s.newCtx, &s.pool)
 	s.interp.Profile = sh.prof
 	return s
 }
 
-// newCtx wires a fresh execution context to this session and the shared
-// core.
+// newCtx builds an execution context wired to this session and the
+// shared core for the statement in flight.
 func (s *Session) newCtx() *exec.Ctx {
-	ctx := exec.NewCtx()
-	ctx.Rand = s.rng
-	ctx.StorageStats = s.sh.storageStats
-	ctx.Memo = &s.sh.memoStats
-	ctx.WorkMem = s.sh.workMem
-	ctx.MaxRecursion = s.sh.maxRecursion
-	ctx.CallFn = s.callFunction
+	ctx := new(exec.Ctx)
+	s.bindCtx(ctx)
+	return ctx
+}
+
+// bindCtx sets every field of ctx for a run of the statement in flight:
+// the session's random stream, function-call hook and batch size, its
+// pinned snapshot and transaction overlay, and the engine's limits.
+func (s *Session) bindCtx(ctx *exec.Ctx) {
+	*ctx = exec.Ctx{
+		Rand:         s.rng,
+		StorageStats: s.sh.storageStats,
+		Stats:        &s.sh.execStats,
+		WorkMem:      s.sh.workMem,
+		MaxRecursion: s.sh.maxRecursion,
+		MaxCallDepth: s.sh.maxCallDepth,
+		CallFn:       s.callFn,
+		TS:           storage.AllVisible,
+		BatchSize:    exec.DefaultBatchSize,
+		Columnar:     s.sh.columnar,
+	}
 	if s.pinDepth > 0 {
 		ctx.TS = s.cur.ts // read at the statement's pinned storage snapshot
 	}
@@ -108,16 +131,13 @@ func (s *Session) newCtx() *exec.Ctx {
 		// Inside a transaction with buffered writes: scans overlay them on
 		// the pinned snapshot so the transaction reads its own
 		// uncommitted rows.
-		writes := s.txn.writes
-		ctx.TxnOverlay = func(h *storage.Heap) *storage.HeapOverlay { return writes[h] }
+		ctx.TxnOverlay = s.overlay
 	}
 	if s.batchSize > 0 {
 		ctx.BatchSize = s.batchSize
 	} else if s.sh.batchSize > 0 {
 		ctx.BatchSize = s.sh.batchSize
 	}
-	ctx.Columnar = s.sh.columnar
-	return ctx
 }
 
 // SetBatchSize overrides the executor batch size for this session (0
@@ -936,25 +956,29 @@ func (s *Session) streamQuery(q *sqlast.Query, key string, params []sqltypes.Val
 	return err
 }
 
-// execPlan is the one place a plan becomes rows: ExecutorStart
-// (instantiate), ExecutorRun (stream every batch into the sink pair) and
-// ExecutorEnd (shutdown), each charged to its Table 1 bucket. With
-// analyze the per-node instrumentation shims ride along and the Analyzer
-// that renders their actuals is returned.
+// execPlan is the one place a statement's plan becomes rows:
+// ExecutorStart (a tree from the session's pool, instantiated only when it
+// has none for the plan), ExecutorRun (stream every batch into the sink
+// pair) and ExecutorEnd (shut down, and back to the pool), each charged to
+// its Table 1 bucket. With analyze the per-node instrumentation shims ride
+// along on a tree built for this run alone, and the Analyzer that renders
+// their actuals is returned.
 func (s *Session) execPlan(p *plan.Plan, params []sqltypes.Value, analyze bool, begin func([]string) error, batch func(*exec.Batch) error) (*exec.Analyzer, error) {
 	if p.NumParams > len(params) {
 		return nil, fmt.Errorf("engine: query needs %d parameters, got %d", p.NumParams, len(params))
 	}
 	tStart := time.Now()
-	ctx := s.newCtx()
+	var ctx exec.Ctx
+	s.bindCtx(&ctx)
 	ctx.Params = params
 	var ex *exec.Executor
 	var ana *exec.Analyzer
 	var err error
 	if analyze {
-		ex, ana, err = exec.InstantiateAnalyzed(p, ctx)
+		own := ctx // the analyzed executor keeps its context
+		ex, ana, err = exec.InstantiateAnalyzed(p, &own)
 	} else {
-		ex, err = exec.Instantiate(p, ctx)
+		ex, err = s.pool.Get(p, &ctx)
 	}
 	if s.sh.prof.StartPenalty > 0 {
 		profile.Spin(s.sh.prof.StartPenalty * p.NodeCount)
@@ -975,7 +999,11 @@ func (s *Session) execPlan(p *plan.Plan, params []sqltypes.Value, analyze bool, 
 	s.counters.QueriesRun++
 
 	tEnd := time.Now()
-	ex.Shutdown()
+	if analyze {
+		ex.Shutdown()
+	} else {
+		s.pool.Put(ex, runErr == nil)
+	}
 	s.counters.ExecEndNS += time.Since(tEnd).Nanoseconds()
 	return ana, runErr
 }

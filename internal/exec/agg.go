@@ -44,7 +44,11 @@ type aggNode struct {
 
 	// argCols is foldGrandColumnar's per-spec lane scratch.
 	argCols []*Column
+
+	held bool
 }
+
+func (n *aggNode) release() { n.out, n.held = nil, false }
 
 func instantiateAgg(x *plan.Agg, ana *Analyzer) (Node, error) {
 	child, err := instantiateNode(x.Child, ana)
@@ -457,6 +461,7 @@ func (n *aggNode) evalColumns(ctx *Ctx, rows []storage.Tuple, groupCols, argCols
 }
 
 func (n *aggNode) Open(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	n.out = nil
 	n.idx = 0
 	if err := n.child.Open(ctx); err != nil {

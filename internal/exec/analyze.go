@@ -24,7 +24,7 @@ type NodeStats struct {
 // identity is a stable key for the whole execution; after the run, Lines
 // renders the plan through plan.ExplainAnnotated with each node's actuals
 // appended. Memo operators live inside subplans, which are not wrapped;
-// their hit counts come from the execution's own list of them.
+// their hit counts come from the run's list of nodes that held data.
 type Analyzer struct {
 	plan  *plan.Plan
 	ctx   *Ctx
@@ -100,8 +100,8 @@ func (a *Analyzer) annotate(p plan.Node) string {
 func (a *Analyzer) memoActuals(p *plan.Memo) string {
 	var hits, misses int64
 	seen := false
-	for _, m := range a.ctx.memos {
-		if m.src == p {
+	for _, h := range a.ctx.held {
+		if m, ok := h.(*memoNode); ok && m.src == p {
 			hits, misses, seen = hits+m.hits, misses+m.misses, true
 		}
 	}

@@ -1,9 +1,12 @@
 // Package exec instantiates plans into runtime state and evaluates them —
 // PostgreSQL's executor, in miniature. The Plan→Executor split matters for
-// the reproduction: Instantiate (+Open) is the ExecutorStart work the
-// PL/pgSQL interpreter pays for *every* evaluation of an embedded query,
-// while the compiled WITH RECURSIVE form instantiates once and then only
-// rescans.
+// the reproduction: Instantiate is the ExecutorStart work PostgreSQL pays
+// for every evaluation of a PL/pgSQL embedded query. Here a session's Pool
+// pays it once per plan — later evaluations rebind a kept tree and Open
+// it — so what the interpreter still pays per embedded query is the
+// f→Qi switch itself: the plan-cache lookup, binding, Open and Close, and
+// the pull of its rows. The compiled WITH RECURSIVE form runs all of its
+// queries inside one tree and only rescans them.
 package exec
 
 import (
@@ -108,14 +111,49 @@ type Ctx struct {
 	CallDepth    int
 	MaxCallDepth int
 
-	// Memo, when set, accumulates the memo operators' hits and misses
-	// across executions (see MemoStats).
-	Memo *MemoStats
+	// Stats, when set, accumulates memo and executor-tree counts across
+	// executions.
+	Stats *Stats
 
 	cteStores  []*storage.TupleStore
 	cteWorking []*rowSet
 	cteDefs    []Node
-	memos      []*memoNode // memo operators this execution opened
+	held       []holder // nodes holding data for this run (see hold)
+}
+
+// A holder is a node that keeps data for the rest of its run once opened —
+// a scanner over a snapshot, a hash table, buffered rows — or state it
+// carries from one Open to the next (a static hash-join build, a
+// materialized input, a memo table). It registers with its context at the
+// first Open of a run, so a tree reset for another run (Executor.reset)
+// reaches it wherever it sits, in expression subplans too, without a walk.
+type holder interface {
+	// release drops the run's data and the state carried across Opens, so
+	// the node's next Open starts as a freshly built node would.
+	release()
+}
+
+// hold registers h with the run on its first Open; *held records that,
+// and h's release clears it.
+func (c *Ctx) hold(h holder, held *bool) {
+	if !*held {
+		*held = true
+		c.held = append(c.held, h)
+	}
+}
+
+// rebind points a pooled tree's context at a new run: every setting comes
+// from src — parameters, snapshot, transaction overlay, random source,
+// hooks, limits — with an empty outer-row stack, while the tree keeps what
+// is its own: the batch size it was built for (a volatile plan's clamp to
+// 1 included) and its CTE and run state.
+func (c *Ctx) rebind(src *Ctx) {
+	tree := *c
+	*c = *src
+	c.BatchSize = tree.BatchSize
+	c.Outer = tree.Outer[:0]
+	c.CallDepth = 0
+	c.cteStores, c.cteWorking, c.cteDefs, c.held = tree.cteStores, tree.cteWorking, tree.cteDefs, tree.held
 }
 
 // NewCtx builds a context with engine defaults.

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sync/atomic"
+
 	"plsqlaway/internal/plan"
 	"plsqlaway/internal/storage"
 )
@@ -8,7 +10,9 @@ import (
 // Executor is the instantiated runtime state of one plan — PostgreSQL's
 // QueryDesc/EState. Creating it (Instantiate) is the engine's
 // ExecutorStart; pulling rows (Stream) is ExecutorRun; Shutdown is
-// ExecutorEnd.
+// ExecutorEnd. A Pool keeps the tree after Shutdown and runs it again for
+// the plan's next execution, so a repeated statement pays ExecutorStart
+// once.
 //
 // The node tree underneath is batch-at-a-time (NextBatch), and so is the
 // facade: Stream hands each batch to a sink, Run is Stream with the rows
@@ -18,14 +22,26 @@ type Executor struct {
 	root Node
 	ctx  *Ctx
 
-	buf *Batch // Stream's shuttle batch
+	batch int    // the batch size asked for, before the volatile clamp: the pool key
+	buf   *Batch // Stream's shuttle batch
+}
+
+// Stats accumulates executor counters across executions and sessions —
+// the engine's plsql_exec_* metrics. A run adds to them once (its tree when
+// it starts, its memo counts at Shutdown), so the hot path touches no
+// shared memory.
+type Stats struct {
+	MemoHits, MemoMisses    atomic.Int64
+	TreesBuilt, TreesReused atomic.Int64 // instantiations; runs of a pooled tree
 }
 
 // Instantiate builds executor state from a (cached) plan: it allocates the
-// executor-node tree — the per-call work the paper's Figure 3 profiles as
-// f→Qi context-switch overhead. The plan itself is only read (every piece
-// of runtime state lives in the node tree), so a cached plan is shared by
-// all its executions, concurrent ones included, without a copy.
+// executor-node tree, an ExprState per expression and the batches — the
+// ExecutorStart work the paper's Figure 3 profiles as f→Qi context-switch
+// overhead, and what a Pool saves a repeated plan. The plan itself is only
+// read (every piece of runtime state lives in the node tree), so a cached
+// plan is shared by all its executions, concurrent ones included, without
+// a copy. The executor owns ctx from here on.
 func Instantiate(p *plan.Plan, ctx *Ctx) (*Executor, error) {
 	e, _, err := instantiate(p, ctx, false)
 	return e, err
@@ -42,12 +58,17 @@ func InstantiateAnalyzed(p *plan.Plan, ctx *Ctx) (*Executor, *Analyzer, error) {
 }
 
 func instantiate(p *plan.Plan, ctx *Ctx, analyze bool) (*Executor, *Analyzer, error) {
+	if ctx.Stats != nil {
+		ctx.Stats.TreesBuilt.Add(1)
+	}
+	batch := ctx.BatchSize
 	// Volatile plans (random(), setseed(), UDF calls) run tuple-at-a-time:
 	// batch pipelines evaluate one stage over a whole batch before the next
 	// stage runs, which would interleave volatile draws across stages
 	// differently than Volcano iteration. Forcing batch size 1 makes the
 	// deterministic random() stream exactly match the tuple-at-a-time
 	// executor by construction; pure plans keep the configured batch size.
+	// The tree keeps the decision for every run it serves.
 	if ctx.BatchSize > 1 && p.HasVolatile() {
 		ctx.BatchSize = 1
 	}
@@ -74,11 +95,8 @@ func instantiate(p *plan.Plan, ctx *Ctx, analyze bool) (*Executor, *Analyzer, er
 		ctx.cteStores = make([]*storage.TupleStore, len(p.CTEs))
 		ctx.cteWorking = make([]*rowSet, len(p.CTEs))
 	}
-	return &Executor{Plan: p, root: root, ctx: ctx, buf: NewBatch(ctx.BatchSize)}, ana, nil
+	return &Executor{Plan: p, root: root, ctx: ctx, batch: batch, buf: NewBatch(ctx.BatchSize)}, ana, nil
 }
-
-// Ctx exposes the execution context (the engine wires hooks through it).
-func (e *Executor) Ctx() *Ctx { return e.ctx }
 
 // Run streams the plan to completion, keeping every row.
 func (e *Executor) Run() ([]storage.Tuple, error) {
@@ -111,109 +129,28 @@ func (e *Executor) Stream(fn func(*Batch) error) error {
 	}
 }
 
-// Shutdown closes the node tree, releases CTE spill files, and tears down
-// the executor state tree (ExecutorEnd: PostgreSQL frees the per-query
-// memory context here — we walk the tree releasing references so the
-// garbage collector can reclaim it immediately).
+// Shutdown ends the run (ExecutorEnd): it closes the node tree, releases
+// the CTE spill files and adds the run's memo counts to ctx.Stats. The
+// tree stays built — a Pool resets it and runs it again; otherwise it is
+// garbage once the caller drops the Executor.
 func (e *Executor) Shutdown() {
 	e.root.Close(e.ctx)
 	e.ctx.releaseStores()
 	e.ctx.flushMemos()
-	teardown(e.root)
-	for _, d := range e.ctx.cteDefs {
-		if d != nil {
-			teardown(d)
-		}
-	}
-	e.root = nil
-	e.buf = nil
-	e.ctx.cteDefs = nil
 }
 
-// teardown recursively clears node state.
-func teardown(n Node) {
-	switch x := n.(type) {
-	case *analyzedNode:
-		teardown(x.inner)
-		x.inner = nil
-	case *filterNode:
-		teardown(x.child)
-		x.child, x.pred, x.in, x.sel = nil, nil, nil, nil
-		x.fsel, x.fcols, x.fptrs = nil, nil, nil
-	case *projectNode:
-		teardown(x.child)
-		x.child, x.exprs, x.in, x.cols = nil, nil, nil, nil
-		x.pcols = nil
-	case *nestLoopNode:
-		teardown(x.left)
-		teardown(x.right)
-		x.left, x.right, x.on, x.curLeft, x.in, x.rin = nil, nil, nil, nil, nil, nil
-	case *hashJoinNode:
-		teardown(x.left)
-		teardown(x.right)
-		x.table.reset()
-		x.left, x.right, x.residual, x.leftKeys, x.rightKeys = nil, nil, nil, nil, nil
-		x.in, x.keyCols, x.keyRow, x.cand, x.curLeft = nil, nil, nil, nil, nil
-		x.slab, x.arena = nil, nil
-		x.keyCol, x.leftSrc, x.colCand, x.outCols, x.outPtrs = nil, nil, nil, nil, nil
-	case *hashJoinProjectNode:
-		teardown(x.join)
-		x.join, x.exprs, x.mid, x.cols = nil, nil, nil, nil
-		x.pcols = nil
-	case *applyNode:
-		teardown(x.child)
-		teardown(x.sub)
-		x.child, x.sub, x.in, x.subIter = nil, nil, nil, nil
-	case *materializeNode:
-		teardown(x.child)
-		x.child, x.rows = nil, nil
-	case *aggNode:
-		teardown(x.child)
-		x.child, x.out, x.groups, x.specs = nil, nil, nil, nil
-		x.evalList, x.argPos, x.evalCols, x.argCols = nil, nil, nil, nil
-	case *windowNode:
-		teardown(x.child)
-		x.child, x.out, x.funcs = nil, nil, nil
-	case *sortNode:
-		teardown(x.child)
-		x.child, x.rows, x.keys, x.kexp, x.kcols = nil, nil, nil, nil, nil
-	case *limitNode:
-		teardown(x.child)
-		x.child, x.limit, x.offset, x.in = nil, nil, nil, nil
-	case *distinctNode:
-		teardown(x.child)
-		x.child, x.seen, x.in = nil, nil, nil
-	case *appendNode:
-		for i, c := range x.children {
-			teardown(c)
-			x.children[i] = nil
-		}
-	case *setOpNode:
-		teardown(x.left)
-		teardown(x.right)
-		x.left, x.right, x.out = nil, nil, nil
-	case *valuesNode:
-		x.rows = nil
-	case *recursiveUnionNode:
-		teardown(x.nonRec)
-		teardown(x.rec)
-		x.nonRec, x.rec, x.batch, x.working, x.seen, x.shuttle = nil, nil, nil, nil, nil, nil
-	case *withNode:
-		teardown(x.child)
-		x.child = nil
-	case *seqScanNode:
-		x.scan = nil
-	case *indexScanNode:
-		x.rows, x.hits, x.key = nil, nil, nil
-	case *cteScanNode:
-		x.iter, x.set, x.buf = nil, nil, nil
-	case *resultNode:
-		x.exprs = nil
-	case *loopNode:
-		x.seed, x.step, x.out = nil, nil, nil
-		x.cur, x.next, x.result = nil, nil, nil
-	case *memoNode:
-		teardown(x.child)
-		x.child, x.slots, x.entries, x.keyBytes, x.rows, x.probe = nil, nil, nil, nil, nil, nil
+// reset readies a shut-down tree for another run: every node that held
+// data in this one releases it (see holder), so the next run starts from
+// the state a fresh instantiation has — and nothing the size of the data
+// it read (snapshot rows, hash tables, sorted or aggregated rows, memo
+// tables, working sets) stays in memory while the tree waits in a pool.
+// The nodes, their expression states, batches and scratch columns stay.
+func (e *Executor) reset() {
+	c := e.ctx
+	for i, h := range c.held {
+		h.release()
+		c.held[i] = nil
 	}
+	c.held = c.held[:0]
+	clear(c.cteWorking)
 }

@@ -241,6 +241,7 @@ type hashJoinNode struct {
 	table       rowTable
 	built       bool
 	rightOpened bool
+	held        bool // registered with the run (Ctx.hold)
 
 	in         *Batch // left rows
 	inIdx      int
@@ -379,6 +380,7 @@ func instantiateHashJoin(x *plan.HashJoin, ana *Analyzer) (Node, error) {
 }
 
 func (n *hashJoinNode) Open(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	if n.in == nil {
 		n.in = NewBatch(ctx.BatchSize)
 		n.keyCols = make([][]sqltypes.Value, len(n.leftKeys))
@@ -421,6 +423,15 @@ func (n *hashJoinNode) Rescan(ctx *Ctx) error {
 	}
 	n.resetProbe()
 	return nil
+}
+
+// release drops the build table, so the next run builds from its own
+// snapshot even when the build side is static, and opens (not rescans)
+// the build side again.
+func (n *hashJoinNode) release() {
+	n.table.reset()
+	n.built, n.rightOpened, n.held = false, false, false
+	n.cand, n.colCand, n.curLeft = nil, nil, nil
 }
 
 func (n *hashJoinNode) resetProbe() {

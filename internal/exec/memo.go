@@ -3,23 +3,18 @@ package exec
 import (
 	"bytes"
 	"hash/maphash"
-	"sync/atomic"
 
 	"plsqlaway/internal/plan"
 	"plsqlaway/internal/storage"
 )
 
-// MemoStats accumulates memo hits and misses across executions — the
-// engine's plsql_exec_memo_* counters. Executor.Shutdown adds each
-// execution's totals once, so the hot path touches no shared memory.
-type MemoStats struct{ Hits, Misses atomic.Int64 }
-
 // memoNode runs a plan.Memo: it caches its child's rows keyed on the
-// outer values the child reads, for the lifetime of the node — one
-// executor instance, i.e. one statement at one snapshot. Each Open reads
-// the key; a key seen before replays the rows its first evaluation
-// produced without opening the child (a hit), any other key runs the
-// child and records the rows as the consumer pulls them (a miss).
+// outer values the child reads, for one run of its executor — one
+// statement at one snapshot; a pooled tree starts the next run with an
+// empty table (release). Each Open reads the key; a key seen before
+// replays the rows its first evaluation produced without opening the
+// child (a hit), any other key runs the child and records the rows as the
+// consumer pulls them (a miss).
 //
 // A miss pulls exactly what the consumer pulls, no more: the recording is
 // kept only once the child reports end of stream. An evaluation its
@@ -59,7 +54,7 @@ type memoNode struct {
 	live     bool // the child is open for it
 
 	hits, misses int64
-	registered   bool // listed in ctx.memos
+	held         bool // registered with the run (Ctx.hold)
 }
 
 // memoEntry is one cached key: its hash, its encoding keyBytes[klo:khi]
@@ -94,10 +89,7 @@ func instantiateMemo(x *plan.Memo, ana *Analyzer) (Node, error) {
 func (n *memoNode) Rescan(ctx *Ctx) error { return n.Open(ctx) }
 
 func (n *memoNode) Open(ctx *Ctx) error {
-	if !n.registered {
-		ctx.memos = append(ctx.memos, n)
-		n.registered = true
-	}
+	ctx.hold(n, &n.held)
 	n.drop()
 	if n.live {
 		n.live = false
@@ -240,13 +232,20 @@ func (n *memoNode) Close(ctx *Ctx) error {
 	return n.child.Close(ctx)
 }
 
-// flushMemos adds this execution's memo counts to the shared counters.
+// release empties the table and the counts for the tree's next run.
+func (n *memoNode) release() {
+	*n = memoNode{src: n.src, child: n.child, keys: n.keys, probe: n.probe[:0]}
+}
+
+// flushMemos adds this run's memo counts to the shared counters.
 func (c *Ctx) flushMemos() {
-	if c.Memo == nil {
+	if c.Stats == nil {
 		return
 	}
-	for _, m := range c.memos {
-		c.Memo.Hits.Add(m.hits)
-		c.Memo.Misses.Add(m.misses)
+	for _, h := range c.held {
+		if m, ok := h.(*memoNode); ok {
+			c.Stats.MemoHits.Add(m.hits)
+			c.Stats.MemoMisses.Add(m.misses)
+		}
 	}
 }

@@ -25,7 +25,7 @@ type Node interface {
 
 // instantiateNodeRaw builds the runtime node for one plan operator. The
 // allocations this performs are the ExecutorStart cost the paper's Table 1
-// profiles.
+// profiles, paid here once per tree a session's Pool keeps.
 func instantiateNodeRaw(p plan.Node, ana *Analyzer) (Node, error) {
 	switch x := p.(type) {
 	case *plan.Result:
@@ -284,9 +284,13 @@ func (n *resultNode) NextBatch(ctx *Ctx, out *Batch) error {
 type seqScanNode struct {
 	table *catalog.Table
 	scan  *storage.HeapScanner
+	held  bool
 }
 
+func (n *seqScanNode) release() { n.scan, n.held = nil, false }
+
 func (n *seqScanNode) Open(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	if ov := ctx.overlayFor(n.table.Heap); !ov.Empty() {
 		// Inside a transaction that wrote this heap: merge the pinned
 		// snapshot with the buffered writes so the scan reads its own
@@ -333,11 +337,15 @@ type indexScanNode struct {
 	rows  []storage.Tuple
 	hits  []int
 	idx   int
+	held  bool
 }
+
+func (n *indexScanNode) release() { n.rows, n.hits, n.held = nil, nil, false }
 
 func (n *indexScanNode) Open(ctx *Ctx) error { return n.Rescan(ctx) }
 
 func (n *indexScanNode) Rescan(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	n.idx = 0
 	k, err := n.key.Eval(ctx, nil)
 	if err != nil {
@@ -752,10 +760,14 @@ type materializeNode struct {
 	child Node
 	rows  []storage.Tuple
 	idx   int
-	built bool
+	built bool // kept across Opens within a run
+	held  bool
 }
 
+func (n *materializeNode) release() { n.rows, n.built, n.held = nil, false, false }
+
 func (n *materializeNode) Open(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	n.idx = 0
 	if n.built {
 		return nil
@@ -809,9 +821,13 @@ type sortNode struct {
 	idx   int
 	kexp  []*ExprState
 	kcols [][]sqltypes.Value
+	held  bool
 }
 
+func (n *sortNode) release() { n.rows, n.held = nil, false }
+
 func (n *sortNode) Open(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	n.rows = n.rows[:0]
 	n.idx = 0
 	if n.kexp == nil {
@@ -981,9 +997,13 @@ type distinctNode struct {
 	child Node
 	seen  *tupleSet
 	in    *Batch
+	held  bool
 }
 
+func (n *distinctNode) release() { n.seen, n.held = nil, false }
+
 func (n *distinctNode) Open(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	n.seen = newTupleSet()
 	if n.in == nil {
 		n.in = NewBatch(ctx.BatchSize)
@@ -1073,11 +1093,15 @@ type setOpNode struct {
 	all         bool
 	left, right Node
 
-	out []storage.Tuple
-	idx int
+	out  []storage.Tuple
+	idx  int
+	held bool
 }
 
+func (n *setOpNode) release() { n.out, n.held = nil, false }
+
 func (n *setOpNode) Open(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	if err := n.left.Open(ctx); err != nil {
 		return err
 	}

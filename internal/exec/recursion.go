@@ -165,11 +165,15 @@ type cteScanNode struct {
 	idx   int
 	views []Column
 	ptrs  []*Column
+	held  bool
 }
+
+func (n *cteScanNode) release() { n.iter, n.set, n.held = nil, nil, false }
 
 func (n *cteScanNode) Open(ctx *Ctx) error { return n.Rescan(ctx) }
 
 func (n *cteScanNode) Rescan(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	if n.working {
 		if n.index >= len(ctx.cteWorking) {
 			return fmt.Errorf("exec: working table %d not available", n.index)
@@ -249,6 +253,11 @@ type recursiveUnionNode struct {
 	opened     bool
 	views      []Column
 	ptrs       []*Column
+	held       bool
+}
+
+func (n *recursiveUnionNode) release() {
+	n.batch, n.working, n.seen, n.held = nil, nil, nil, false
 }
 
 func (n *recursiveUnionNode) Open(ctx *Ctx) error {
@@ -268,6 +277,7 @@ func (n *recursiveUnionNode) Open(ctx *Ctx) error {
 // reseed restarts the recursion from the non-recursive term, which the
 // caller has just opened or rescanned.
 func (n *recursiveUnionNode) reseed(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	n.phase = 0
 	n.batchIdx = 0
 	n.iterations = 0

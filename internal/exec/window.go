@@ -27,7 +27,10 @@ type windowNode struct {
 	funcs []*windowFnState
 	out   []storage.Tuple
 	idx   int
+	held  bool
 }
+
+func (n *windowNode) release() { n.out, n.held = nil, false }
 
 func instantiateWindow(x *plan.Window, ana *Analyzer) (Node, error) {
 	child, err := instantiateNode(x.Child, ana)
@@ -81,6 +84,7 @@ func instantiateWindow(x *plan.Window, ana *Analyzer) (Node, error) {
 }
 
 func (n *windowNode) Open(ctx *Ctx) error {
+	ctx.hold(n, &n.held)
 	n.out = nil
 	n.idx = 0
 	if err := n.child.Open(ctx); err != nil {

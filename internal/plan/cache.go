@@ -9,9 +9,10 @@ import (
 )
 
 // Cache memoizes plans by canonical query text. It reproduces PostgreSQL's
-// SPI plan cache as used by PL/pgSQL: embedded queries are *planned* once
-// but *instantiated* for every execution — the paper's whole point is that
-// instantiation, not planning, dominates the f→Qi context switch.
+// SPI plan cache as used by PL/pgSQL: embedded queries are *planned* once.
+// PostgreSQL still *instantiates* them for every execution — the paper's
+// point is that instantiation, not planning, dominates the f→Qi context
+// switch; here each session keeps the instantiated trees too (exec.Pool).
 //
 // The cache is shared by all sessions of an engine and safe for concurrent
 // use: the entry map is guarded by a readers-writer mutex and the hit/miss

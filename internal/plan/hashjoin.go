@@ -364,7 +364,11 @@ func scanNodeFlags(n Node) exprFlags {
 // pipeline stage over a whole batch before the next stage runs, which
 // would transpose volatile draws across stages relative to Volcano
 // iteration even though each operator preserves its own row-major order.
-func (p *Plan) HasVolatile() bool {
+// Build computes the answer once; a plan is immutable afterwards.
+func (p *Plan) HasVolatile() bool { return p.volatile }
+
+// scanVolatile computes HasVolatile's answer by walking the whole plan.
+func (p *Plan) scanVolatile() bool {
 	f := scanNodeFlags(p.Root)
 	for _, cte := range p.CTEs {
 		f.merge(scanNodeFlags(cte.Plan))

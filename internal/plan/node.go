@@ -329,6 +329,8 @@ type Plan struct {
 	SpecializedCalls int
 	// LoopedCTEs counts recursive CTEs lowered to Loop operators.
 	LoopedCTEs int
+
+	volatile bool // see HasVolatile; computed once by Build
 }
 
 // CountNodes walks the plan and records NodeCount.

@@ -75,6 +75,7 @@ func Build(cat *catalog.Catalog, q *sqlast.Query, opts Options) (*Plan, error) {
 		LoopedCTEs:       looped,
 	}
 	p.CountNodes()
+	p.volatile = p.scanVolatile()
 	return p, nil
 }
 

@@ -1,11 +1,14 @@
 // Package plinterp is the PL/pgSQL interpreter: it executes plast function
 // bodies statement by statement, exactly the evaluation regime the paper
-// compiles away. Embedded queries run through the shared plan cache and pay
-// ExecutorStart / ExecutorRun / ExecutorEnd on every evaluation; FROM-less,
-// subquery-free expressions take the simple-expression fast path (compiled
-// once, evaluated directly — the reason the paper's fibonacci row shows no
-// Exec·Start/End time). All phases are charged to profile.Counters so the
-// benchmark harness can regenerate Table 1.
+// compiles away. Embedded queries run through the shared plan cache and
+// pass through ExecutorStart / ExecutorRun / ExecutorEnd on every
+// evaluation — with the executor tree taken from, and given back to, the
+// session's pool, so a start after the first rebinds rather than
+// instantiates; FROM-less, subquery-free expressions take the
+// simple-expression fast path (compiled once, evaluated directly — the
+// reason the paper's fibonacci row shows no Exec·Start/End time). All
+// phases are charged to profile.Counters so the benchmark harness can
+// regenerate Table 1.
 package plinterp
 
 import (
@@ -34,8 +37,11 @@ type Interpreter struct {
 	Counters *profile.Counters
 	Profile  profile.Profile
 	// MkCtx builds a fresh execution context wired to the engine (RNG,
-	// storage stats, function-call hook).
+	// storage stats, function-call hook): one per function call.
 	MkCtx func() *exec.Ctx
+	// Pool is the owning session's pool of executor trees; embedded
+	// queries take their trees from it.
+	Pool *exec.Pool
 	// FastPath enables the simple-expression fast path (ablation A3 turns
 	// it off, forcing every expression through the full executor).
 	FastPath bool
@@ -47,13 +53,14 @@ type Interpreter struct {
 }
 
 // New builds an interpreter.
-func New(cat *catalog.Catalog, cache *plan.Cache, counters *profile.Counters, mkCtx func() *exec.Ctx) *Interpreter {
+func New(cat *catalog.Catalog, cache *plan.Cache, counters *profile.Counters, mkCtx func() *exec.Ctx, pool *exec.Pool) *Interpreter {
 	return &Interpreter{
 		Cat:      cat,
 		Cache:    cache,
 		Counters: counters,
 		Profile:  profile.PostgreSQL,
 		MkCtx:    mkCtx,
+		Pool:     pool,
 		FastPath: true,
 		fns:      make(map[*plast.Function]*fnState),
 	}
@@ -92,6 +99,19 @@ type stmtComp struct {
 type frame struct {
 	st     *fnState
 	values []sqltypes.Value
+	ctx    *exec.Ctx // see ctxOf
+}
+
+// ctxOf returns the frame's execution context, built on first use: the
+// fast path evaluates every simple expression of the call in it, and the
+// call's embedded queries take their settings from it. Its parameters are
+// the frame's variables, read in place.
+func (ip *Interpreter) ctxOf(fr *frame) *exec.Ctx {
+	if fr.ctx == nil {
+		fr.ctx = ip.MkCtx()
+		fr.ctx.Params = fr.values
+	}
+	return fr.ctx
 }
 
 // control is a statement outcome.
@@ -274,9 +294,7 @@ func (ip *Interpreter) evalExpr(fr *frame, site any, e sqlast.Expr, accounted *i
 		// Fast path: evaluated via the expression executor; PostgreSQL
 		// charges this to Exec·Run (exec_eval_simple_expr).
 		t0 := time.Now()
-		ctx := ip.MkCtx()
-		ctx.Params = fr.values
-		v, err := sc.simple.Eval(ctx, nil)
+		v, err := sc.simple.Eval(ip.ctxOf(fr), nil)
 		d := time.Since(t0).Nanoseconds()
 		ip.Counters.ExecRunNS += d
 		*accounted += d
@@ -310,11 +328,10 @@ func (ip *Interpreter) runEmbedded(fr *frame, sc *stmtComp, accounted *int64) ([
 		return nil, err
 	}
 
-	// ExecutorStart: fresh context + instantiated node tree + param binding.
+	// ExecutorStart: a tree from the session's pool (instantiated while the
+	// pool has none for the plan) bound to the frame's context.
 	tStart := time.Now()
-	ctx := ip.MkCtx()
-	ctx.Params = fr.values
-	ex, err := exec.Instantiate(p, ctx)
+	ex, err := ip.Pool.Get(p, ip.ctxOf(fr))
 	if ip.Profile.StartPenalty > 0 {
 		profile.Spin(ip.Profile.StartPenalty * p.NodeCount)
 	}
@@ -334,9 +351,9 @@ func (ip *Interpreter) runEmbedded(fr *frame, sc *stmtComp, accounted *int64) ([
 	ip.Counters.QueriesRun++
 	*accounted += dRun
 
-	// ExecutorEnd.
+	// ExecutorEnd: the tree goes back to the pool.
 	tEnd := time.Now()
-	ex.Shutdown()
+	ip.Pool.Put(ex, runErr == nil)
 	dEnd := time.Since(tEnd).Nanoseconds()
 	ip.Counters.ExecEndNS += dEnd
 	*accounted += dEnd

@@ -28,7 +28,7 @@ func harness(t *testing.T) (*Interpreter, *catalog.Catalog) {
 		ctx.StorageStats = stats
 		return ctx
 	}
-	ip = New(cat, cache, counters, mkCtx)
+	ip = New(cat, cache, counters, mkCtx, &exec.Pool{})
 	return ip, cat
 }
 

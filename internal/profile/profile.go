@@ -16,9 +16,9 @@ import (
 // concurrent use: each engine session owns a private instance, so no
 // cross-session synchronization is needed on these hot paths.
 type Counters struct {
-	ExecStartNS int64 // plan instantiation + parameter binding (f→Qi entry)
+	ExecStartNS int64 // executor tree from the pool (or instantiated) + parameter binding (f→Qi entry)
 	ExecRunNS   int64 // pulling rows / fast-path expression evaluation
-	ExecEndNS   int64 // executor teardown (f→Qi exit)
+	ExecEndNS   int64 // executor shutdown, tree back to the pool (f→Qi exit)
 	InterpNS    int64 // PL/pgSQL statement dispatch, control flow, assignment
 	PlanNS      int64 // parse+plan on cache misses (outside Table 1's columns)
 
