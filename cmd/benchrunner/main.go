@@ -1,305 +1,77 @@
 // benchrunner regenerates the paper's evaluation: Table 1, Figure 10,
-// Figures 11a/11b, Table 2, the DESIGN.md ablations, the concurrent-session
-// scaling sweep, and the vectorized executor's batch-size sweep, printing
-// each in a paper-style text layout or as one JSON document.
+// Figures 11a/11b, Table 2 and five ablations of the compiler and
+// interpreter, printing each in a paper-style text layout.
 //
 // Usage:
 //
-//	benchrunner [-experiment table1|fig10|fig11a|fig11b|table2|ablations|parallel|batchsweep|widescan|mixed|contention|all]
-//	            [-quick] [-parallel N] [-writeratio F] [-batchsize LIST] [-metrics] [-format text|json]
+//	benchrunner [-experiment LIST] [-quick]
 //
-// -experiment also accepts a comma-separated list (e.g.
-// -experiment udfcall,batchsweep). -metrics runs every engine with the
-// observability registry attached: the JSON report gains a "metrics" key
-// carrying the full snapshot (fsync latency, plan-cache, phase-time
-// series), and the text output appends the Prometheus rendering — the
-// instrumentation-overhead experiments measure in exactly this mode.
+// LIST is "all" (the default) or a comma-separated subset of table1, fig10,
+// fig11a, fig11b, table2 and ablations; any other name is an error. -quick
+// shrinks workload sizes so a full run takes seconds (the default sizes
+// mirror the paper's and take several minutes, dominated by the Figure 11
+// grids and Table 2's gigabyte-scale spill).
 //
-// -quick shrinks workload sizes so a full run finishes in well under a
-// minute (the default sizes mirror the paper's and take several minutes,
-// dominated by the Figure 11 grids and Table 2's gigabyte-scale spill).
-//
-// -parallel N runs the concurrent-session scaling experiment: one shared
-// engine, the robot-walk / fsmparse / graphtraverse workloads spread over
-// 1, 2, …, N sessions, reporting aggregate throughput and the speedup over
-// the single-session baseline. Given on its own it runs just that
-// experiment; combine with -experiment to add the paper's figures.
-//
-// -writeratio F turns the session sweep into the mixed read/write
-// experiment: one shared table, N sessions issuing a fixed deterministic
-// schedule of point UPDATEs (fraction F) and range-aggregate SELECTs,
-// reporting reader throughput as sessions grow — the snapshot-isolation
-// claim that readers never wait for writers. Combine with -parallel N to
-// set the sweep's upper end; given on its own it runs just the mixed
-// experiment (it replaces the read-only -parallel sweep).
-//
-// -experiment contention runs the optimistic-write-path sweep: N sessions
-// each running explicit transaction blocks (BEGIN; point UPDATEs; COMMIT)
-// over disjoint key partitions and over a shared hot set, reporting
-// transaction throughput, serialization conflicts, and the retry rate.
-// Disjoint writers should scale; overlapping writers should conflict and
-// retry without ever losing or duplicating an update.
-//
-// -batchsize runs the batch executor sweep: the WITH RECURSIVE
-// graphtraverse frontier expansion at each listed executor batch size
-// (default "1,64,256,1024,4096"), reporting throughput, speedup over batch
-// size 1, and buffer page writes. Like -parallel, giving the flag on its
-// own runs just that experiment.
-//
-// -experiment widescan runs the streaming-memory experiment: a loopback
-// plsqld serves wide SELECTs of growing result sizes while a heap sampler
-// records the peak; the buffered prepared-statement path grows with the
-// result, the streamed simple-query path must stay flat. It fails (exit 1)
-// if the streamed peak is not well under the buffered peak.
-//
-// -format json emits every experiment that ran as a single JSON document
-// on stdout (schema plsqlaway-bench/v1) — the per-PR BENCH_*.json perf
-// trajectory files and the CI bench-smoke artifact are recorded this way.
+// The experiments live in internal/bench, whose tests run each at a small
+// size: `go test -run TestFigure11Shape -cpuprofile cpu.out ./internal/bench`
+// profiles one. The system's performance trajectory is benchmark/.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
+	"sort"
 	"strings"
 	"time"
 
 	"plsqlaway/internal/bench"
-	"plsqlaway/internal/obs"
 	"plsqlaway/internal/profile"
 )
 
-func main() {
-	experiment := flag.String("experiment", "all", "table1, fig10, fig11a, fig11b, table2, ablations, parallel, batchsweep, widescan, mixed, contention, udfcall, or all")
-	quick := flag.Bool("quick", false, "reduced workload sizes")
-	parallel := flag.Int("parallel", 0, "max concurrent sessions for the scaling experiment (0 = off)")
-	writeratio := flag.Float64("writeratio", -1, "fraction of ops that are writes in the mixed read/write sweep (-1 = off)")
-	mixrows := flag.Int("mixrows", 0, "table size for the mixed read/write sweep (0 = the sweep's default)")
-	durability := flag.String("durability", "", "comma-separated durability modes for the mixed sweep: volatile, off, batched, commit (empty = volatile only)")
-	batchsize := flag.String("batchsize", "", "comma-separated executor batch sizes for the batch sweep (e.g. 1,64,1024; empty = the sweep's default sizes)")
-	inline := flag.String("inline", "on", "planner UDF inlining in the udfcall sweep: on or off (the inlining ablation axis)")
-	addr := flag.String("addr", "", "host:port of a running plsqld: run the sweeps through the wire protocol against it")
-	window := flag.Int("window", 32, "pipelined requests in flight per connection in the remote sweep")
-	metrics := flag.Bool("metrics", false, "run the engines with the observability registry on and snapshot it into the report")
-	format := flag.String("format", "text", "output format: text or json")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile (after the experiments) to this file")
-	flag.Parse()
+// experiment is one section of the paper's evaluation; run returns its
+// text rendering.
+type experiment struct {
+	name string
+	run  func(quick bool) (string, error)
+}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchrunner: -memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			runtime.GC() // flush recent frees so the profile shows live data accurately
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "benchrunner: -memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}()
-	}
-
-	if *format != "text" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "benchrunner: unknown format %q (want text or json)\n", *format)
-		os.Exit(1)
-	}
-	jsonOut := *format == "json"
-	if *metrics {
-		bench.MetricsRegistry = obs.NewRegistry()
-	}
-	if *inline != "on" && *inline != "off" {
-		fmt.Fprintf(os.Stderr, "benchrunner: -inline wants on or off, got %q\n", *inline)
-		os.Exit(1)
-	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*experiment, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
-	}
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "benchrunner: -parallel wants a session count ≥ 1, got %d\n", *parallel)
-		os.Exit(1)
-	}
-	var sweepSizes []int
-	if *batchsize != "" {
-		for _, tok := range strings.Split(*batchsize, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "benchrunner: bad -batchsize entry %q\n", tok)
-				os.Exit(1)
-			}
-			sweepSizes = append(sweepSizes, n)
-		}
-	}
-	// -parallel / -batchsize alone mean "run that experiment"; they join any
-	// explicitly requested experiments but do not drag in the rest. An
-	// explicit `-experiment all` still means everything.
-	experimentSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "experiment" {
-			experimentSet = true
-		}
-	})
-	if *writeratio > 1 {
-		fmt.Fprintf(os.Stderr, "benchrunner: -writeratio wants a fraction in [0, 1], got %g\n", *writeratio)
-		os.Exit(1)
-	}
-	if *parallel > 0 {
-		if !experimentSet {
-			delete(want, "all")
-		}
-		want["parallel"] = true
-	}
-	if *writeratio >= 0 && *addr == "" {
-		if !experimentSet {
-			delete(want, "all")
-		}
-		// -writeratio repurposes the -parallel session sweep as the mixed
-		// read/write experiment; don't also run the read-only sweep.
-		delete(want, "parallel")
-		want["mixed"] = true
-	}
-	if len(sweepSizes) > 0 {
-		if !experimentSet {
-			delete(want, "all")
-		}
-		want["batchsweep"] = true
-	}
-	// -addr redirects the session sweeps through the wire protocol: the
-	// scaling sweep becomes the remote connection sweep, and -writeratio
-	// selects the remote mixed experiment. An explicit -experiment list
-	// is authoritative — then -addr only supplies the server address and
-	// adds nothing.
-	if *addr != "" && !experimentSet {
-		delete(want, "all")
-		delete(want, "parallel")
-		if *writeratio >= 0 {
-			want["remotemixed"] = true
-		} else {
-			want["remote"] = true
-		}
-	}
-	all := want["all"]
-	ran := 0
-	report := map[string]any{}
-
-	// section runs one experiment; fn returns the structured result (for
-	// -format json) and its text rendering. The remote experiments need a
-	// server address, so `all` includes them only when -addr is given —
-	// a plain `benchrunner` or `-experiment all` run must keep working
-	// offline.
-	section := func(name string, fn func() (any, string, error)) {
-		remoteOnly := name == "remote" || name == "remotemixed"
-		inAll := all && (!remoteOnly || *addr != "")
-		if !inAll && !want[name] {
-			return
-		}
-		ran++
-		t0 := time.Now()
-		data, text, err := fn()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		if jsonOut {
-			report[name] = data
-			return
-		}
-		fmt.Printf("━━━ %s ━━━\n\n", name)
-		fmt.Print(text)
-		fmt.Printf("\n(%s took %s)\n\n", name, time.Since(t0).Round(time.Millisecond))
-	}
-
-	section("table1", func() (any, string, error) {
+var experiments = []experiment{
+	{"table1", func(quick bool) (string, error) {
 		cfg := bench.Table1Config{}
-		if *quick {
+		if quick {
 			cfg = bench.Table1Config{WalkSteps: 1_000, ParseLen: 1_000, TraverseHops: 500, FibN: 20_000}
 		}
 		rows, err := bench.Table1(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, bench.FormatTable1(rows), nil
-	})
-
-	section("fig10", func() (any, string, error) {
+		return bench.FormatTable1(rows), err
+	}},
+	{"fig10", func(quick bool) (string, error) {
 		cfg := bench.Fig10Config{}
-		if *quick {
+		if quick {
 			cfg = bench.Fig10Config{Steps: []int64{2_000, 5_000, 10_000}, Rounds: 3}
 		}
 		pts, err := bench.Figure10(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return pts, bench.FormatFigure10(pts), nil
-	})
-
-	section("fig11a", func() (any, string, error) {
-		cfg := bench.Fig11Config{Fn: "walk"}
-		if *quick {
-			cfg.Invocations = []int64{2, 8, 32, 128}
-			cfg.Iterations = []int64{2, 8, 32, 128}
-		}
-		hm, err := bench.Figure11(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return hm, bench.FormatHeatMap(hm), nil
-	})
-
-	section("fig11b", func() (any, string, error) {
-		cfg := bench.Fig11Config{Fn: "parse", Profile: profile.Oracle}
-		if *quick {
-			cfg.Invocations = []int64{2, 8, 32, 128}
-			cfg.Iterations = []int64{2, 8, 32, 128}
-		}
-		hm, err := bench.Figure11(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return hm, bench.FormatHeatMap(hm), nil
-	})
-
-	section("table2", func() (any, string, error) {
+		return bench.FormatFigure10(pts), err
+	}},
+	{"fig11a", func(quick bool) (string, error) {
+		return heatMap(bench.Fig11Config{Fn: "walk"}, quick)
+	}},
+	{"fig11b", func(quick bool) (string, error) {
+		return heatMap(bench.Fig11Config{Fn: "parse", Profile: profile.Oracle}, quick)
+	}},
+	{"table2", func(quick bool) (string, error) {
 		lengths := []int{10_000, 20_000, 30_000, 40_000, 50_000}
-		if *quick {
+		if quick {
 			lengths = []int{2_000, 4_000, 8_000}
 		}
 		rows, err := bench.Table2(lengths)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, bench.FormatTable2(rows), nil
-	})
-
-	section("ablations", func() (any, string, error) {
+		return bench.FormatTable2(rows), err
+	}},
+	{"ablations", func(quick bool) (string, error) {
 		size := int64(20_000)
-		if *quick {
+		if quick {
 			size = 2_000
 		}
-		data := map[string]any{}
 		var text strings.Builder
 		for _, a := range []struct {
 			title string
@@ -314,175 +86,75 @@ func main() {
 		} {
 			rows, err := a.fn(a.size)
 			if err != nil {
-				return nil, "", err
+				return "", err
 			}
-			data[a.title] = rows
-			text.WriteString(bench.FormatAblation(a.title, rows))
-			text.WriteString("\n")
+			text.WriteString(bench.FormatAblation(a.title, rows) + "\n")
 		}
-		return data, text.String(), nil
-	})
+		return text.String(), nil
+	}},
+}
 
-	section("parallel", func() (any, string, error) {
-		cfg := bench.ParallelConfig{MaxWorkers: *parallel}
-		if cfg.MaxWorkers == 0 {
-			cfg.MaxWorkers = 4
-		}
-		if *quick {
-			cfg.Calls = 32
-			cfg.WalkSteps = 300
-			cfg.ParseLen = 300
-			cfg.TraverseHops = 200
-		}
-		rows, err := bench.ParallelScaling(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, bench.FormatParallel(rows), nil
-	})
-
-	section("mixed", func() (any, string, error) {
-		ratio := *writeratio
-		if ratio < 0 {
-			ratio = 0.1 // -experiment mixed without -writeratio: a sensible default
-		}
-		cfg := bench.MixedConfig{MaxWorkers: *parallel, WriteRatio: ratio}
-		if *durability != "" {
-			for _, tok := range strings.Split(*durability, ",") {
-				cfg.Durability = append(cfg.Durability, strings.TrimSpace(strings.ToLower(tok)))
-			}
-		}
-		if cfg.MaxWorkers == 0 {
-			cfg.MaxWorkers = 4
-		}
-		if *quick {
-			cfg.Ops = 512
-			cfg.TableRows = 2048
-			cfg.Span = 128
-		}
-		if *mixrows > 0 {
-			cfg.TableRows = *mixrows
-		}
-		rows, err := bench.MixedSweep(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, bench.FormatMixed(rows), nil
-	})
-
-	section("contention", func() (any, string, error) {
-		cfg := bench.ContentionConfig{MaxWorkers: *parallel}
-		if cfg.MaxWorkers == 0 {
-			cfg.MaxWorkers = 8
-		}
-		if *quick {
-			cfg.Txns = 128
-			cfg.TableRows = 512
-		}
-		rows, err := bench.ContentionSweep(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, bench.FormatContention(rows), nil
-	})
-
-	section("remote", func() (any, string, error) {
-		cfg := bench.RemoteConfig{Addr: *addr, MaxConns: *parallel, Window: *window}
-		if *quick {
-			cfg.Calls = 128
-			cfg.TraverseHops = 20
-		}
-		rows, err := bench.RemoteScaling(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, bench.FormatRemote(rows), nil
-	})
-
-	section("remotemixed", func() (any, string, error) {
-		ratio := *writeratio
-		if ratio < 0 {
-			ratio = 0.1
-		}
-		cfg := bench.RemoteMixedConfig{Addr: *addr, MaxConns: *parallel, WriteRatio: ratio}
-		if *quick {
-			cfg.Ops = 512
-			cfg.TableRows = 2048
-			cfg.Span = 128
-		}
-		if *mixrows > 0 {
-			cfg.TableRows = *mixrows
-		}
-		rows, err := bench.RemoteMixed(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, bench.FormatMixed(rows), nil
-	})
-
-	section("widescan", func() (any, string, error) {
-		cfg := bench.WideScanConfig{}
-		if *quick {
-			cfg.Rows = []int{10_000, 40_000, 160_000}
-		}
-		rows, err := bench.WideScan(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, bench.FormatWideScan(rows), nil
-	})
-
-	section("udfcall", func() (any, string, error) {
-		cfg := bench.UDFCallConfig{Inline: *inline != "off"}
-		if *quick {
-			cfg.Probes = 4_000
-			cfg.Rounds = 3
-		}
-		rep, err := bench.UDFCall(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rep, bench.FormatUDFCall(rep), nil
-	})
-
-	section("batchsweep", func() (any, string, error) {
-		cfg := bench.BatchSweepConfig{Sizes: sweepSizes}
-		if *quick {
-			cfg.Nodes = 1024
-			cfg.MaxHops = 6
-			cfg.Rounds = 3
-		}
-		rows, err := bench.BatchSweep(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, bench.FormatBatchSweep(rows), nil
-	})
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "benchrunner: unknown experiment %q\n", *experiment)
-		os.Exit(1)
+// heatMap runs one Figure 11 grid.
+func heatMap(cfg bench.Fig11Config, quick bool) (string, error) {
+	if quick {
+		cfg.Invocations = []int64{2, 8, 32, 128}
+		cfg.Iterations = []int64{2, 8, 32, 128}
 	}
-	if !jsonOut && bench.MetricsRegistry != nil {
-		fmt.Printf("━━━ metrics ━━━\n\n")
-		bench.MetricsRegistry.WriteText(os.Stdout)
-		fmt.Println()
+	hm, err := bench.Figure11(cfg)
+	if err != nil {
+		return "", err
 	}
-	if jsonOut {
-		doc := map[string]any{
-			"schema":      "plsqlaway-bench/v1",
-			"gomaxprocs":  runtime.GOMAXPROCS(0),
-			"quick":       *quick,
-			"experiments": report,
+	return bench.FormatHeatMap(hm), nil
+}
+
+// selectExperiments resolves -experiment: "all" or a comma-separated list
+// of names, in the paper's order. Unknown names are an error that names
+// every one of them.
+func selectExperiments(list string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		want[strings.ToLower(strings.TrimSpace(name))] = true
+	}
+	all := want["all"]
+	delete(want, "all")
+	var selected []experiment
+	var known []string
+	for _, x := range experiments {
+		if all || want[x.name] {
+			selected = append(selected, x)
 		}
-		if bench.MetricsRegistry != nil {
-			doc["metrics"] = bench.MetricsRegistry.Gather()
+		delete(want, x.name)
+		known = append(known, x.name)
+	}
+	if len(want) > 0 {
+		var unknown []string
+		for name := range want {
+			unknown = append(unknown, fmt.Sprintf("%q", name))
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: encoding JSON: %v\n", err)
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment %s (want all or a list of %s)",
+			strings.Join(unknown, ", "), strings.Join(known, ", "))
+	}
+	return selected, nil
+}
+
+func main() {
+	list := flag.String("experiment", "all", "all, or a comma-separated list of table1, fig10, fig11a, fig11b, table2, ablations")
+	quick := flag.Bool("quick", false, "reduced workload sizes")
+	flag.Parse()
+
+	selected, err := selectExperiments(*list)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
+		os.Exit(2)
+	}
+	for _, x := range selected {
+		t0 := time.Now()
+		text, err := x.run(*quick)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", x.name, err)
 			os.Exit(1)
 		}
+		fmt.Printf("━━━ %s ━━━\n\n%s\n(%s took %s)\n\n", x.name, text, x.name, time.Since(t0).Round(time.Millisecond))
 	}
 }

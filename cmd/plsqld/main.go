@@ -1,7 +1,7 @@
 // plsqld serves an embedded plsqlaway engine over TCP using the wire
 // protocol: one session per connection, pipelined request execution, and
 // graceful drain on SIGINT/SIGTERM. The client package (and
-// sqlshell -connect, benchrunner -addr) speak to it.
+// sqlshell -connect) speak to it.
 //
 // Usage:
 //

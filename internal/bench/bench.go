@@ -2,12 +2,14 @@
 // evaluation (§3): Table 1 (run-time breakdown of PL/pgSQL evaluation),
 // Figure 10 (iterative vs. recursive wall-clock for walk), Figures 11a/11b
 // (relative run-time heat maps across invocation × iteration counts),
-// Table 2 (buffer page writes, WITH ITERATE vs WITH RECURSIVE), plus the
-// ablations DESIGN.md calls out.
+// Table 2 (buffer page writes, WITH ITERATE vs WITH RECURSIVE), plus five
+// ablations of the compiler and interpreter (ablations.go). cmd/benchrunner
+// prints them; the tests here check their shapes.
 package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"plsqlaway/internal/core"
@@ -36,7 +38,7 @@ const (
 // functions, and — for each requested function — the compiled variant
 // installed as <name>_c (and <name>_ci for the WITH ITERATE form).
 func NewEnv(prof profile.Profile, fns ...string) (*Env, error) {
-	e := engine.New(engineOpts(engine.WithProfile(prof), engine.WithSeed(42))...)
+	e := engine.New(engine.WithProfile(prof), engine.WithSeed(42))
 	world := workload.NewRobotWorld(5, 5, 7)
 	if err := world.Install(e); err != nil {
 		return nil, err
@@ -323,7 +325,7 @@ func Figure11(cfg Fig11Config) (*HeatMap, error) {
 			if hi > len(rows) {
 				hi = len(rows)
 			}
-			stmt := "INSERT INTO starts VALUES " + join(rows[lo:hi], ", ")
+			stmt := "INSERT INTO starts VALUES " + strings.Join(rows[lo:hi], ", ")
 			if err := e.Exec(stmt); err != nil {
 				return nil, err
 			}
@@ -352,17 +354,6 @@ func Figure11(cfg Fig11Config) (*HeatMap, error) {
 		hm.Cells = append(hm.Cells, row)
 	}
 	return hm, nil
-}
-
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
 }
 
 // fig11Cell measures one (invocations, iterations) grid point and returns

@@ -156,50 +156,3 @@ func TestAblationsRun(t *testing.T) {
 		t.Logf("\n%s", FormatAblation(a.name, rows))
 	}
 }
-
-// TestUDFCallSweep runs the compiled-UDF call sweep at a small size. The
-// sweep's warm-up pass is a differential — every regime of each workload
-// must return the identical value, so this test fails if the inlined,
-// opaque, or hand-written plans ever disagree on the corpus lookups.
-func TestUDFCallSweep(t *testing.T) {
-	rep, err := UDFCall(UDFCallConfig{Probes: 1_000, Rounds: 1, Inline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Calls) != 6 {
-		t.Fatalf("calls: %d rows, want 2 workloads × 3 regimes", len(rep.Calls))
-	}
-	if rep.PlansInlined < 2 {
-		t.Errorf("PlansInlined = %d, want >= 2 (both lookups must inline)", rep.PlansInlined)
-	}
-	for _, r := range rep.Calls {
-		if r.Regime == "inlined" && r.SpeedupVsOpaque < 1 {
-			t.Errorf("%s: inlined slower than opaque (%.2fx)", r.Workload, r.SpeedupVsOpaque)
-		}
-	}
-	if len(rep.BatchClamp) != 4 {
-		t.Errorf("batch clamp rows: %d, want 4", len(rep.BatchClamp))
-	}
-}
-
-func TestContentionSweepShape(t *testing.T) {
-	rows, err := ContentionSweep(ContentionConfig{
-		Workers: []int{1, 4}, Txns: 64, TableRows: 256, RowsPerTxn: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // 2 modes × 2 worker counts
-		t.Fatalf("got %d rows, want 4", len(rows))
-	}
-	for _, r := range rows {
-		if r.Txns != 64 || r.TxnsPerSec <= 0 {
-			t.Errorf("%s ×%d: implausible row %+v", r.Mode, r.Workers, r)
-		}
-		if r.Mode == "disjoint" && r.Conflicts != 0 {
-			t.Errorf("disjoint ×%d: %d conflicts, want 0 (partitioned writers must never collide)", r.Workers, r.Conflicts)
-		}
-	}
-	// The checksum inside ContentionSweep already failed the run if any
-	// retry lost or duplicated an update; reaching here means it held.
-}

@@ -8,11 +8,12 @@ import (
 )
 
 // DefaultBatchSize is the number of tuples a pipeline moves per NextBatch
-// call. The measured sweep (BenchmarkBatchSize, benchrunner -batchsize) is
-// a flat ≈1.5× plateau from 64 to 1024 rows over tuple-at-a-time
-// iteration: by 64 rows the per-call virtual dispatch and expression-tree
-// walks have amortized away, and beyond ~1024 the working batches plus
-// their scratch columns outgrow cache. 256 sits mid-plateau.
+// call. Swept over a WITH RECURSIVE graph-frontier query on the row-major
+// executor, it was a flat ≈1.5× plateau from 64 to 1024 rows over
+// tuple-at-a-time iteration (BENCH_HISTORY.md): by 64 rows the per-call
+// virtual dispatch and expression-tree walks have amortized away, and
+// beyond ~1024 the working batches plus their scratch columns outgrow
+// cache. 256 sits mid-plateau.
 const DefaultBatchSize = 256
 
 // Batch is a reusable container of tuples flowing between executor nodes.

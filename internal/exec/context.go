@@ -97,8 +97,7 @@ type Ctx struct {
 	TxnOverlay func(h *storage.Heap) *storage.HeapOverlay
 
 	// BatchSize is the number of tuples moved per NextBatch call. 1 makes
-	// the batch pipeline degenerate to tuple-at-a-time Volcano iteration
-	// (the baseline of the BenchmarkBatchSize sweep).
+	// the batch pipeline degenerate to tuple-at-a-time Volcano iteration.
 	BatchSize int
 
 	// Columnar enables the unboxed column-vector fast paths (EvalCol

@@ -14,10 +14,9 @@ func Handler(r *Registry) http.Handler {
 	})
 }
 
-// JSONHandler serves the registry as a Gather() snapshot — the same
-// structure BENCH_*.json embeds, with p50/p95/p99 summaries on every
-// histogram so dashboards don't have to re-derive quantiles from the
-// bucket counts.
+// JSONHandler serves the registry as a Gather() snapshot, with
+// p50/p95/p99 summaries on every histogram so dashboards don't have to
+// re-derive quantiles from the bucket counts.
 func JSONHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

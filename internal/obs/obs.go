@@ -379,7 +379,7 @@ func (f *family) sortedValues() []string {
 }
 
 // ---------------------------------------------------------------------------
-// structured snapshots (benchrunner -metrics)
+// structured snapshots (/metrics.json)
 // ---------------------------------------------------------------------------
 
 // Bucket is one histogram bucket in a snapshot (cumulative count).
@@ -409,8 +409,8 @@ type Metric struct {
 }
 
 // Gather snapshots every family into a JSON-encodable form, sorted like
-// WriteText. Benchmark reports embed it so BENCH_*.json carries the
-// fsync-latency and plan-cache series alongside throughput numbers.
+// WriteText. /metrics.json serves it, and the benchmark's traced run
+// reads its per-layer metrics from it.
 func (r *Registry) Gather() []Metric {
 	var out []Metric
 	for _, f := range r.sortedFamilies() {

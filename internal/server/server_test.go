@@ -75,49 +75,43 @@ func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader, *bufio.Writer)
 
 // TestStreamedErrorTerminates pins mid-stream failure framing: when a
 // query dies after batches already went out, the response must end with
-// an Error frame (not Done), and the connection must keep serving.
+// an Error frame (not Done), and the connection must keep serving. It also
+// pins that the server streams rather than materialises: the query's
+// 3 000 rows at the default batch size of 256 are 11 full batches ahead of
+// the one that fails, and all 11 must be on the wire before the Error. A
+// server that collected a result's batches and wrote them only once the
+// statement succeeded would send none. Query and Parse/Execute alike.
 func TestStreamedErrorTerminates(t *testing.T) {
 	addr := start(t)
 	_, br, bw := rawConn(t, addr)
 	// Division by zero on the last row only: earlier batches stream out
 	// before the error surfaces.
-	wire.WriteMessage(bw, &wire.Query{SQL: "WITH RECURSIVE g(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM g WHERE i < 3000) SELECT i / (3000 - i) FROM g"})
-	bw.Flush()
-	if msg, err := wire.ReadMessage(br); err != nil {
-		t.Fatal(err)
-	} else if _, ok := msg.(*wire.RowDesc); !ok {
-		t.Fatalf("want row desc, got %#v", msg)
-	}
-	sawError := false
-	for !sawError {
-		msg, err := wire.ReadMessage(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch m := msg.(type) {
-		case *wire.ColBatch:
-		case *wire.Error:
-			if !strings.Contains(m.Message, "division by zero") {
-				t.Fatalf("got error %q", m.Message)
+	const sql = "WITH RECURSIVE g(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM g WHERE i < 3000) SELECT i / (3000 - i) FROM g"
+	for _, via := range []string{"Query", "Execute"} {
+		if via == "Query" {
+			wire.WriteMessage(bw, &wire.Query{SQL: sql})
+		} else {
+			wire.WriteMessage(bw, &wire.Parse{Name: "s", SQL: sql})
+			bw.Flush()
+			if m, ok := mustRead(t, br).(*wire.ParseOK); !ok {
+				t.Fatalf("Parse answered %#v", m)
 			}
-			sawError = true
-		default:
-			t.Fatalf("got %#v", msg)
+			wire.WriteMessage(bw, &wire.Execute{Name: "s"})
 		}
-	}
-	// The connection keeps serving after the failed stream.
-	wire.WriteMessage(bw, &wire.Query{SQL: "SELECT 7"})
-	bw.Flush()
-	if msg, err := wire.ReadMessage(br); err != nil {
-		t.Fatal(err)
-	} else if _, ok := msg.(*wire.RowDesc); !ok {
-		t.Fatalf("want row desc, got %#v", msg)
-	}
-	if rows := msgRows(t, mustRead(t, br)); rows[0][0].Int() != 7 {
-		t.Fatalf("want 7, got %v", rows)
-	}
-	if _, ok := mustRead(t, br).(*wire.Done); !ok {
-		t.Fatal("want done")
+		bw.Flush()
+		r := drain(t, br)
+		if !r.hasDesc || !strings.Contains(r.err, "division by zero") {
+			t.Fatalf("%s: response %+v, want RowDesc … Error(division by zero)", via, r)
+		}
+		if r.batches < 11 {
+			t.Fatalf("%s: %d ColBatch frames before the Error, want ≥ 11", via, r.batches)
+		}
+		// The connection keeps serving after the failed stream.
+		wire.WriteMessage(bw, &wire.Query{SQL: "SELECT 7"})
+		bw.Flush()
+		if r := drain(t, br); r.err != "" || len(r.rows) != 2 || r.rows[1] != "7" {
+			t.Fatalf("%s: next query answered %+v", via, r)
+		}
 	}
 }
 

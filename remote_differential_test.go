@@ -18,11 +18,23 @@ import (
 
 	"plsqlaway"
 	"plsqlaway/client"
-	"plsqlaway/internal/bench"
 	"plsqlaway/internal/server"
+	"plsqlaway/internal/sqlast"
 	"plsqlaway/internal/sqltypes"
 	"plsqlaway/internal/workload"
 )
+
+// createFunctionSQL renders a compiled function as the CREATE FUNCTION …
+// LANGUAGE sql statement that installs it over the wire — the textual
+// twin of plsqlaway.Install.
+func createFunctionSQL(name string, res *plsqlaway.Result) string {
+	var params []string
+	for _, p := range res.Params {
+		params = append(params, fmt.Sprintf("%s %s", p.Name, p.Type))
+	}
+	return fmt.Sprintf("CREATE FUNCTION %s(%s) RETURNS %s AS $$ %s $$ LANGUAGE sql",
+		name, strings.Join(params, ", "), res.ReturnType, sqlast.DeparseQuery(res.Query))
+}
 
 // startLoopbackServer serves e on 127.0.0.1 and returns the address.
 func startLoopbackServer(t *testing.T, e *plsqlaway.Engine) string {
@@ -144,7 +156,7 @@ func TestRemoteWireInstalledFunction(t *testing.T) {
 	defer conn.Close()
 
 	// Install the same compilation result through SQL text only.
-	if err := conn.Exec(bench.CreateFunctionSQL("balance_w", res)); err != nil {
+	if err := conn.Exec(createFunctionSQL("balance_w", res)); err != nil {
 		t.Fatalf("wire install: %v", err)
 	}
 	for _, args := range differentialGrid["balance"].args {
