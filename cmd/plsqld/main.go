@@ -1,13 +1,13 @@
 // plsqld serves an embedded plsqlaway engine over TCP using the wire
 // protocol: one session per connection, pipelined request execution, and
-// graceful drain on SIGINT/SIGTERM. The client package (and
-// sqlshell -connect) speak to it.
+// graceful drain on SIGINT/SIGTERM, bounded by -drain (default 10s). The
+// client package (and sqlshell -connect) speak to it.
 //
 // Usage:
 //
 //	plsqld [-addr host:port] [-profile postgres|oracle|sqlite] [-seed N]
 //	       [-batchsize N] [-data-dir DIR] [-sync off|batched|commit]
-//	       [-metrics-addr host:port] [-slow-query-ms N]
+//	       [-drain DURATION] [-metrics-addr host:port] [-slow-query-ms N]
 //	       [-checkpoint-bytes N] [-verbose]
 //
 // The daemon starts with an empty catalog; remote clients install

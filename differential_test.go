@@ -206,13 +206,50 @@ func TestDifferentialOnSessions(t *testing.T) {
 	}
 }
 
+// batchDiffQueries is the plain-SQL grid of TestDifferentialBatchVsTuple,
+// run over the workload schemas (graph edges, robot world, fee schedule):
+// scans, filters, projections, joins, aggregates, sorts, NULL handling,
+// mixed types, recursion and set operations.
+var batchDiffQueries = []string{
+	// Scans + filters over int columns, including empty results.
+	"SELECT count(*) FROM edges WHERE src % 7 = 0",
+	"SELECT count(*) FROM edges WHERE src < 0",
+	"SELECT min(dst), max(dst), sum(dst) FROM edges WHERE src % 3 <> 1",
+	// Projection: arithmetic, comparisons, boolean logic.
+	"SELECT count(*) FROM edges WHERE src + dst > 4000 AND (src % 2 = 0 OR dst % 5 = 1)",
+	"SELECT sum(src * 2 - dst) FROM edges WHERE dst % 11 < 4",
+	// Grouped aggregation and HAVING.
+	"SELECT src % 16 AS bucket, count(*), sum(dst) FROM edges GROUP BY src % 16 ORDER BY bucket",
+	"SELECT src % 8 AS bucket, avg(dst) FROM edges GROUP BY src % 8 HAVING count(*) > 10 ORDER BY bucket",
+	// Hash join, plus join + aggregate.
+	"SELECT count(*) FROM edges a JOIN edges b ON a.dst = b.src WHERE a.src % 101 = 5",
+	"SELECT a.src % 10 AS g, count(*) FROM edges a JOIN edges b ON a.dst = b.src WHERE a.src % 37 = 2 GROUP BY a.src % 10 ORDER BY g",
+	// Sort + limit over projected expressions.
+	"SELECT src, dst FROM edges WHERE src % 211 = 3 ORDER BY dst DESC, src LIMIT 25",
+	// NULL-producing expressions and NULL-aware aggregates.
+	"SELECT count(*), count(CASE WHEN src % 2 = 0 THEN 1 ELSE NULL END) FROM edges WHERE src % 13 = 4",
+	"SELECT NULL, src FROM edges WHERE src % 509 = 1 ORDER BY src LIMIT 10",
+	// Mixed types: floats and text through scans and filters.
+	"SELECT count(*), sum(amount) FROM fees WHERE amount > 1.0",
+	"SELECT lo, hi, amount FROM fees ORDER BY lo",
+	"SELECT state, count(*), min(next) FROM fsm GROUP BY state ORDER BY state LIMIT 15",
+	"SELECT action, count(*) FROM actions GROUP BY action ORDER BY action",
+	// Recursive CTE (the graph-traversal shape).
+	"WITH RECURSIVE r(n, i) AS (SELECT src, 0 FROM edges WHERE src = 42 UNION ALL SELECT e.dst, r.i + 1 FROM r JOIN edges e ON e.src = r.n WHERE r.i < 4) SELECT count(*), max(i) FROM r",
+	// DISTINCT and set operations.
+	"SELECT count(*) FROM (SELECT DISTINCT src % 64 FROM edges) d",
+	"SELECT src FROM edges WHERE src % 797 = 0 UNION SELECT dst FROM edges WHERE dst % 797 = 0 ORDER BY src LIMIT 20",
+}
+
 // TestDifferentialBatchVsTuple is the batch-vs-tuple differential pass:
-// every workload in the corpus must produce identical results (same seed)
-// through the vectorized batch pipeline at the default batch size, through
-// a batch size that forces many mid-stream batch boundaries, and through
-// batch size 1 — the configuration in which every NextBatch moves exactly
-// one tuple, i.e. the legacy Volcano iteration the batch executor
-// replaced.
+// every workload in the corpus, and the plain-SQL grid, must produce
+// identical results (same seed) through the batch pipeline at the default
+// batch size, through a batch size that forces many mid-stream batch
+// boundaries, and through batch size 1 — the configuration in which every
+// NextBatch moves exactly one tuple, i.e. the legacy Volcano iteration the
+// batch executor replaced. A last pass pins the volatile rule: a plan
+// containing random() runs at batch size 1 whatever the configured size,
+// so the deterministic random() stream is the same in every engine.
 func TestDifferentialBatchVsTuple(t *testing.T) {
 	for name := range workload.Corpus {
 		if _, ok := differentialGrid[name]; !ok {
@@ -284,6 +321,48 @@ func TestDifferentialBatchVsTuple(t *testing.T) {
 			}
 		})
 	}
+
+	// formatted runs q on every engine of the grid, reseeding each first.
+	formatted := func(t *testing.T, es []*plsqlaway.Engine, q string) []string {
+		t.Helper()
+		texts := make([]string, len(es))
+		for j, e := range es {
+			e.Seed(1234)
+			res, err := e.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", engines[j].label, err, q)
+			}
+			texts[j] = res.Format()
+		}
+		return texts
+	}
+	es := make([]*plsqlaway.Engine, len(engines))
+	for i, spec := range engines {
+		var opts []plsqlaway.EngineOption
+		if spec.size > 0 {
+			opts = append(opts, plsqlaway.WithBatchSize(spec.size))
+		}
+		es[i] = newWorkloadEngine(t, opts...)
+	}
+	t.Run("plain-sql", func(t *testing.T) {
+		for i, q := range batchDiffQueries {
+			texts := formatted(t, es, q)
+			for j := 1; j < len(texts); j++ {
+				if texts[0] != texts[j] {
+					t.Errorf("query %d diverged:\n%s\n%s:\n%s\n%s:\n%s", i, q, engines[0].label, texts[0], engines[j].label, texts[j])
+				}
+			}
+		}
+	})
+	t.Run("volatile-batch-1", func(t *testing.T) {
+		q := "WITH RECURSIVE g(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM g WHERE i < 200) SELECT i, random() FROM g"
+		texts := formatted(t, es, q)
+		for j := 1; j < len(texts); j++ {
+			if texts[0] != texts[j] {
+				t.Errorf("volatile stream diverged:\n%s:\n%s\n%s:\n%s", engines[0].label, texts[0], engines[j].label, texts[j])
+			}
+		}
+	})
 }
 
 // compiledRun is one compiled corpus function planned by hand in one

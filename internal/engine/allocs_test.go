@@ -12,14 +12,13 @@ import (
 	"plsqlaway/internal/sqltypes"
 )
 
-// TestColumnarAllocsRegression guards the tentpole property of the
-// columnar executor: per-query allocations scale with the number of
-// batches, not the number of rows. Reintroducing boxing on the scan,
-// filter, or aggregate hot path (one sqltypes.Value or interface header
-// per row) multiplies allocations by the row count and trips the bound
-// immediately — 50k rows at even one alloc per row is an order of
-// magnitude over the budget, while the legitimate per-batch cost (a few
-// dozen batches per query) sits far under it.
+// TestColumnarAllocsRegression guards the batch executor's allocation
+// property: per-query allocations scale with the number of batches, not
+// the number of rows. An allocation per row on the scan, filter, or
+// aggregate hot path multiplies allocations by the row count and trips
+// the bound immediately — 50k rows at even one alloc per row is an order
+// of magnitude over the budget, while the legitimate per-batch cost (a
+// few dozen batches per query) sits far under it.
 func TestColumnarAllocsRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
@@ -44,11 +43,10 @@ func TestColumnarAllocsRegression(t *testing.T) {
 		name, sql string
 		budget    float64
 	}{
-		// Columnar seqscan + filter + projection + grand aggregate: the
-		// three stages the issue names. ~49 batches at 1024 rows/batch;
-		// measured cost is ~190 allocs per run, so the budget keeps ~8×
-		// headroom for incidental growth while any per-row allocation
-		// (50k+) overshoots it 30-fold.
+		// Seqscan + filter + projection + grand aggregate: ~196 batches
+		// at 256 rows/batch; measured cost is ~80 allocs per run, so the
+		// budget keeps ample headroom for incidental growth while any
+		// per-row allocation (50k+) overshoots it 30-fold.
 		{"scan-filter-aggregate", "SELECT sum(a + b), count(*), avg(c) FROM m WHERE a % 3 <> 0", 1500},
 		// Filter-heavy scan with a float kernel in the predicate.
 		{"scan-filter-project", "SELECT count(*) FROM m WHERE c * 2.0 < 10000.0 AND b < 50", 1500},
@@ -71,7 +69,7 @@ func TestColumnarAllocsRegression(t *testing.T) {
 				}
 			})
 			if allocs > q.budget {
-				t.Fatalf("%s: %.0f allocs per run over %d rows (budget %.0f) — boxing crept back into the columnar path",
+				t.Fatalf("%s: %.0f allocs per run over %d rows (budget %.0f) — an allocation per row crept into the batch path",
 					q.name, allocs, rows, q.budget)
 			}
 			res, err := s.Query(q.sql)

@@ -134,7 +134,6 @@ type shared struct {
 	maxCallDepth int
 	seed         uint64
 	batchSize    int
-	columnar     bool
 
 	// Durability (nil/zero for a volatile engine). wal is set once by
 	// Open before any session runs and never replaced; commits append
@@ -192,7 +191,6 @@ type config struct {
 	maxCallDepth    int
 	seed            uint64
 	batchSize       int
-	columnar        bool
 	syncMode        wal.SyncMode
 	registry        *obs.Registry
 	slowQueryNS     int64
@@ -222,12 +220,6 @@ func WithMaxRecursion(n int) Option { return func(c *config) { c.maxRecursion = 
 // tuple-at-a-time Volcano iteration). Sessions may override it with
 // Session.SetBatchSize.
 func WithBatchSize(n int) Option { return func(c *config) { c.batchSize = n } }
-
-// WithColumnar toggles the executor's unboxed column-vector fast paths
-// (default on). Off forces every operator through the boxed row-major
-// kernels — the differential suite runs both and demands byte-identical
-// results, and perf triage can flip it to isolate layout effects.
-func WithColumnar(on bool) Option { return func(c *config) { c.columnar = on } }
 
 // WithSyncMode selects when commits are acknowledged relative to WAL
 // fsync (default wal.SyncBatched: group commit). Only meaningful for
@@ -265,7 +257,6 @@ func New(opts ...Option) *Engine {
 		maxCallDepth: 256,
 		seed:         42,
 		batchSize:    exec.DefaultBatchSize,
-		columnar:     true,
 		syncMode:     wal.SyncBatched,
 	}
 	for _, o := range opts {
@@ -279,7 +270,6 @@ func New(opts ...Option) *Engine {
 		maxCallDepth:    cfg.maxCallDepth,
 		seed:            cfg.seed,
 		batchSize:       cfg.batchSize,
-		columnar:        cfg.columnar,
 		syncMode:        cfg.syncMode,
 		slowQueryNS:     cfg.slowQueryNS,
 		logf:            cfg.logf,
@@ -348,8 +338,8 @@ func (e *Engine) SetBatchSize(n int) {
 }
 
 // SetInlining toggles planner UDF inlining on the default session (on by
-// default; the benchmark ablation's -inline flag). Sessions created with
-// NewSession use their own Session.SetInlining.
+// default). Sessions created with NewSession use their own
+// Session.SetInlining.
 func (e *Engine) SetInlining(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

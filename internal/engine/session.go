@@ -122,7 +122,6 @@ func (s *Session) bindCtx(ctx *exec.Ctx) {
 		CallFn:       s.callFn,
 		TS:           storage.AllVisible,
 		BatchSize:    exec.DefaultBatchSize,
-		Columnar:     s.sh.columnar,
 	}
 	if s.pinDepth > 0 {
 		ctx.TS = s.cur.ts // read at the statement's pinned storage snapshot
@@ -142,7 +141,7 @@ func (s *Session) bindCtx(ctx *exec.Ctx) {
 
 // SetBatchSize overrides the executor batch size for this session (0
 // restores the engine default, 1 degenerates to tuple-at-a-time
-// iteration). Used by the benchmark harness's batch-size sweep.
+// iteration).
 func (s *Session) SetBatchSize(n int) {
 	if n < 0 {
 		n = 0
@@ -152,8 +151,8 @@ func (s *Session) SetBatchSize(n int) {
 
 // SetInlining toggles planner UDF inlining for this session (on by
 // default). Off keeps every compiled/SQL function call an opaque per-row
-// dispatch — the benchmark ablation's baseline. Plans built either way
-// cache under distinct keys, so flipping mid-session is safe.
+// dispatch, the baseline the inlining tests compare against. Plans built
+// either way cache under distinct keys, so flipping mid-session is safe.
 func (s *Session) SetInlining(on bool) {
 	s.noInline = !on
 	s.interp.NoInline = !on

@@ -42,9 +42,6 @@ type aggNode struct {
 	argPos   []int
 	evalCols [][]sqltypes.Value
 
-	// argCols is foldGrandColumnar's per-spec lane scratch.
-	argCols []*Column
-
 	held bool
 }
 
@@ -204,228 +201,6 @@ func (st *aggState) result(ctx *Ctx, sampleRow storage.Tuple) (sqltypes.Value, e
 	return sqltypes.Null, fmt.Errorf("exec: unknown aggregate %s", st.spec.fn)
 }
 
-// foldGrandColumnar folds one batch into the grand aggregate states
-// lane-at-a-time, without materializing rows. Only folds whose lane
-// accumulation reproduces the boxed sequential fold exactly are taken:
-// count over any lane, sum/avg over int lanes (wrapping int64 addition is
-// associative) and float lanes (accumulated sequentially in lane order, the
-// boxed fold's exact operation sequence), min/max via lane-native extremes
-// merged with one boxed Compare. Anything else — distinct, bool_and/or,
-// string_agg, ColAny lanes, non-numeric sum accumulators — returns ok=false
-// with no state touched, and the boxed path folds the batch instead.
-func (n *aggNode) foldGrandColumnar(ctx *Ctx, b *Batch, states []*aggState) (bool, error) {
-	for _, st := range states {
-		s := st.spec
-		if s.star {
-			continue
-		}
-		if s.distinct || s.arg == nil || !s.arg.colable {
-			return false, nil
-		}
-		switch s.fn {
-		case "count", "sum", "avg", "min", "max":
-		default:
-			return false, nil
-		}
-	}
-	if n.argCols == nil {
-		n.argCols = make([]*Column, len(states))
-	}
-	// Evaluate (and vet) every argument lane before folding any state, so a
-	// bail never leaves a batch half-accumulated.
-	for i, st := range states {
-		s := st.spec
-		if s.star {
-			n.argCols[i] = nil
-			continue
-		}
-		c, err := s.arg.EvalCol(ctx, b)
-		if err != nil {
-			return false, err
-		}
-		if c == nil {
-			return false, nil
-		}
-		switch c.Kind {
-		case ColInt, ColFloat, ColNull:
-		case ColStr:
-			if s.fn == "sum" || s.fn == "avg" {
-				return false, nil
-			}
-		case ColBool:
-			if s.fn != "count" {
-				return false, nil
-			}
-		default:
-			return false, nil
-		}
-		if (s.fn == "sum" || s.fn == "avg") && !st.sum.IsNull() && !st.sum.IsNumeric() {
-			return false, nil
-		}
-		n.argCols[i] = c
-	}
-	m := b.Len()
-	for i, st := range states {
-		if st.spec.star {
-			st.count += int64(m)
-			continue
-		}
-		if err := st.foldColumn(n.argCols[i], m); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
-// foldColumn folds one evaluated argument lane into the state. The caller
-// has vetted the (fn, lane kind, accumulator kind) combination.
-func (st *aggState) foldColumn(c *Column, m int) error {
-	if c.Kind == ColNull {
-		return nil // aggregates ignore NULL inputs
-	}
-	nn := 0 // non-null rows folded
-	switch st.spec.fn {
-	case "count":
-		for i := 0; i < m; i++ {
-			if !c.null(i) {
-				nn++
-			}
-		}
-		st.count += int64(nn)
-		return nil
-	case "sum", "avg":
-		if c.Kind == ColInt && (st.sum.IsNull() || st.sum.Kind() == sqltypes.KindInt) {
-			var sub int64
-			for i := 0; i < m; i++ {
-				if c.null(i) {
-					continue
-				}
-				sub += c.Ints[i]
-				nn++
-			}
-			if nn == 0 {
-				return nil
-			}
-			if st.sum.IsNull() {
-				st.sum = sqltypes.NewInt(sub)
-			} else {
-				st.sum = sqltypes.NewInt(st.sum.Int() + sub)
-			}
-			st.count += int64(nn)
-			return nil
-		}
-		// Float lane, or an int lane over a float accumulator: sequential
-		// float64 accumulation in lane order.
-		var f float64
-		have := false
-		if !st.sum.IsNull() {
-			f = st.sum.AsFloat()
-			have = true
-		}
-		for i := 0; i < m; i++ {
-			if c.null(i) {
-				continue
-			}
-			var v float64
-			if c.Kind == ColInt {
-				v = float64(c.Ints[i])
-			} else {
-				v = c.Floats[i]
-			}
-			if !have {
-				f = v
-				have = true
-			} else {
-				f += v
-			}
-			nn++
-		}
-		if nn == 0 {
-			return nil
-		}
-		st.sum = sqltypes.NewFloat(f)
-		st.count += int64(nn)
-		return nil
-	case "min", "max":
-		isMin := st.spec.fn == "min"
-		var best sqltypes.Value
-		switch c.Kind {
-		case ColInt:
-			var bi int64
-			first := true
-			for i := 0; i < m; i++ {
-				if c.null(i) {
-					continue
-				}
-				v := c.Ints[i]
-				if first || (isMin && v < bi) || (!isMin && v > bi) {
-					bi = v
-					first = false
-				}
-				nn++
-			}
-			if nn == 0 {
-				return nil
-			}
-			best = sqltypes.NewInt(bi)
-		case ColFloat:
-			var bf float64
-			first := true
-			for i := 0; i < m; i++ {
-				if c.null(i) {
-					continue
-				}
-				v := c.Floats[i]
-				if first {
-					bf = v
-					first = false
-				} else if cmp := cmpFloatVals(v, bf); (isMin && cmp < 0) || (!isMin && cmp > 0) {
-					bf = v
-				}
-				nn++
-			}
-			if nn == 0 {
-				return nil
-			}
-			best = sqltypes.NewFloat(bf)
-		case ColStr:
-			var bs string
-			first := true
-			for i := 0; i < m; i++ {
-				if c.null(i) {
-					continue
-				}
-				v := c.Strs[i]
-				if first {
-					bs = v
-					first = false
-				} else if cmp := strings.Compare(v, bs); (isMin && cmp < 0) || (!isMin && cmp > 0) {
-					bs = v
-				}
-				nn++
-			}
-			if nn == 0 {
-				return nil
-			}
-			best = sqltypes.NewText(bs)
-		}
-		st.count += int64(nn)
-		if st.extreme.IsNull() {
-			st.extreme = best
-			return nil
-		}
-		cmp, err := sqltypes.Compare(best, st.extreme)
-		if err != nil {
-			return err
-		}
-		if (isMin && cmp < 0) || (!isMin && cmp > 0) {
-			st.extreme = best
-		}
-		return nil
-	}
-	return fmt.Errorf("exec: unknown aggregate %s", st.spec.fn)
-}
-
 // evalColumns evaluates the grouping keys and aggregate arguments over one
 // batch as a single expression-column set — keys first, then arguments in
 // spec order, which is exactly the per-row order the tuple-at-a-time
@@ -495,20 +270,6 @@ func (n *aggNode) Open(ctx *Ctx) error {
 		m := b.Len()
 		if m == 0 {
 			break
-		}
-		if grand != nil && ctx.Columnar {
-			// Grand aggregates over colable arguments fold lane-at-a-time
-			// without ever materializing the batch into rows.
-			ok, err := n.foldGrandColumnar(ctx, b, grand.states)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if grand.sample == nil {
-					grand.sample = storage.Tuple{} // non-nil: input was seen
-				}
-				continue
-			}
 		}
 		rows := b.Rows()
 		if err := n.evalColumns(ctx, rows, groupCols, argCols); err != nil {

@@ -1,15 +1,12 @@
 package exec
 
 import (
-	"fmt"
-
 	"plsqlaway/internal/sqltypes"
 	"plsqlaway/internal/storage"
 )
 
 // DefaultBatchSize is the number of tuples a pipeline moves per NextBatch
-// call. Swept over a WITH RECURSIVE graph-frontier query on the row-major
-// executor, it was a flat ≈1.5× plateau from 64 to 1024 rows over
+// call. Swept over a WITH RECURSIVE graph-frontier query, it was a flat ≈1.5× plateau from 64 to 1024 rows over
 // tuple-at-a-time iteration (BENCH_HISTORY.md): by 64 rows the per-call
 // virtual dispatch and expression-tree walks have amortized away, and
 // beyond ~1024 the working batches plus their scratch columns outgrow
@@ -22,32 +19,9 @@ const DefaultBatchSize = 256
 // evaluation sets it to 1 or 2 so lazy semantics (EXISTS, IN, scalar
 // cardinality checks) pull no more rows than the tuple-at-a-time executor
 // did.
-// A batch carries rows in one of two layouts: row-major ([]storage.Tuple,
-// the layout of heap scans and every pre-columnar operator) or columnar
-// (typed Column vectors set via SetCols — the layout of the hot kernels).
-// Either side converts lazily: Rows() materializes a columnar batch into
-// fresh row backing (so retained headers stay valid, per the contract
-// below), and Col(i) transposes one column of a row-major batch into a
-// cached typed lane.
 type Batch struct {
 	rows  []storage.Tuple
 	limit int
-
-	// columnar layout: cols are producer-owned views, valid until the
-	// producer's next refill — exactly the lifetime of row-major rows.
-	cols  []*Column
-	colN  int
-	colar bool
-
-	// tcols/tdone cache per-column transposes of a row-major batch.
-	tcols []Column
-	tdone []bool
-
-	// mrows caches the row materialization of a columnar batch. The header
-	// slice is reused across refills but the value backing is freshly
-	// allocated per batch: consumers are allowed to retain row headers.
-	mrows []storage.Tuple
-	mdone bool
 }
 
 // NewBatch creates a batch bounded to limit rows per fill. The row-header
@@ -64,23 +38,10 @@ func NewBatch(limit int) *Batch {
 
 // begin truncates the batch for refilling. Every NextBatch implementation
 // calls it on entry, so producers always append into an empty batch.
-func (b *Batch) begin() {
-	b.rows = b.rows[:0]
-	b.colar = false
-	b.cols = nil
-	b.colN = 0
-	b.tdone = b.tdone[:0]
-	b.mrows = b.mrows[:0]
-	b.mdone = false
-}
+func (b *Batch) begin() { b.rows = b.rows[:0] }
 
 // Len reports the number of rows currently held.
-func (b *Batch) Len() int {
-	if b.colar {
-		return b.colN
-	}
-	return len(b.rows)
-}
+func (b *Batch) Len() int { return len(b.rows) }
 
 // Cap reports the fill limit.
 func (b *Batch) Cap() int { return b.limit }
@@ -95,104 +56,15 @@ func (b *Batch) Add(t storage.Tuple) { b.rows = append(b.rows, t) }
 func (b *Batch) Append(ts []storage.Tuple) { b.rows = append(b.rows, ts...) }
 
 // Row returns row i.
-func (b *Batch) Row(i int) storage.Tuple {
-	if b.colar {
-		return b.Rows()[i]
-	}
-	return b.rows[i]
-}
+func (b *Batch) Row(i int) storage.Tuple { return b.rows[i] }
 
 // Rows exposes the held rows. The slice is invalidated by the next refill;
 // consumers that retain rows must copy the headers out first (the headers
-// stay valid: columnar batches materialize into fresh backing per batch).
-func (b *Batch) Rows() []storage.Tuple {
-	if !b.colar {
-		return b.rows
-	}
-	if !b.mdone {
-		w := len(b.cols)
-		backing := make([]sqltypes.Value, b.colN*w)
-		for r := 0; r < b.colN; r++ {
-			t := backing[r*w : (r+1)*w : (r+1)*w]
-			for c, col := range b.cols {
-				t[c] = col.Value(r)
-			}
-			b.mrows = append(b.mrows, storage.Tuple(t))
-		}
-		b.mdone = true
-	}
-	return b.mrows
-}
+// stay valid).
+func (b *Batch) Rows() []storage.Tuple { return b.rows }
 
-// SetCols switches the batch to columnar layout: n rows across cols. The
-// columns are producer-owned views valid until the producer's next refill.
-// Callers must have called begin() (directly or via a NextBatch entry)
-// since the last fill.
-func (b *Batch) SetCols(cols []*Column, n int) {
-	b.colar = true
-	b.cols = cols
-	b.colN = n
-}
-
-// HasCols reports whether the batch currently holds columnar data.
-func (b *Batch) HasCols() bool { return b.colar }
-
-// NumCols reports the column count of a columnar batch.
-func (b *Batch) NumCols() int { return len(b.cols) }
-
-// Width reports the row width: column count when columnar, first-row width
-// otherwise (0 for an empty batch).
-func (b *Batch) Width() int {
-	if b.colar {
-		return len(b.cols)
-	}
-	if len(b.rows) > 0 {
-		return len(b.rows[0])
-	}
-	return 0
-}
-
-// Col returns column i as a typed vector: a zero-copy view for columnar
-// batches, a cached transpose for row-major ones. The error matches
-// EvalBatch's out-of-range input error so the two paths diagnose broken
-// plans identically.
-func (b *Batch) Col(i int) (*Column, error) {
-	if b.colar {
-		if i >= len(b.cols) {
-			return nil, fmt.Errorf("exec: input column %d out of range (row width %d)", i, len(b.cols))
-		}
-		return b.cols[i], nil
-	}
-	for len(b.tdone) <= i {
-		b.tdone = append(b.tdone, false)
-	}
-	for len(b.tcols) <= i {
-		b.tcols = append(b.tcols, Column{})
-	}
-	if !b.tdone[i] {
-		for _, r := range b.rows {
-			if i >= len(r) {
-				return nil, fmt.Errorf("exec: input column %d out of range (row width %d)", i, len(r))
-			}
-		}
-		transposeColumn(&b.tcols[i], b.rows, i)
-		b.tdone[i] = true
-	}
-	return &b.tcols[i], nil
-}
-
-// truncate keeps only the first n rows (post-compaction; row-major fills
-// compact their slice, columnar fills just clip the logical count).
-func (b *Batch) truncate(n int) {
-	if b.colar {
-		b.colN = n
-		if b.mdone {
-			b.mrows = b.mrows[:n]
-		}
-		return
-	}
-	b.rows = b.rows[:n]
-}
+// truncate keeps only the first n rows (post-compaction).
+func (b *Batch) truncate(n int) { b.rows = b.rows[:n] }
 
 // SetLimit adjusts the fill limit (clamped to ≥ 1) without reallocating.
 func (b *Batch) SetLimit(n int) {
@@ -257,8 +129,7 @@ func (it *rowIter) next(ctx *Ctx) (storage.Tuple, error) {
 }
 
 // drainNode pulls every remaining row of node through the shuttle batch b,
-// handing each to fn — the batch-at-a-time replacement for the old
-// `for { t := node.Next() }` drains in blocking operators.
+// handing each to fn: the drain loop of the blocking operators.
 func drainNode(ctx *Ctx, node Node, b *Batch, fn func(storage.Tuple) error) error {
 	for {
 		if err := node.NextBatch(ctx, b); err != nil {
@@ -358,20 +229,5 @@ func (s *tupleSet) add(t storage.Tuple) bool {
 		return false
 	}
 	s.strs[k] = struct{}{}
-	return true
-}
-
-// addInt inserts a single-column integer row given its lane value and
-// reports whether it was absent. It partitions identically to add:
-// normalizeValueForKey maps every value comparing equal to an integer onto
-// that int64, which is exactly the value an int lane carries.
-func (s *tupleSet) addInt(v int64) bool {
-	if s.ints == nil {
-		s.ints = make(map[int64]struct{})
-	}
-	if _, dup := s.ints[v]; dup {
-		return false
-	}
-	s.ints[v] = struct{}{}
 	return true
 }

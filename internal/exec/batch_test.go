@@ -1,8 +1,13 @@
 package exec
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"plsqlaway/internal/catalog"
+	"plsqlaway/internal/plan"
+	"plsqlaway/internal/sqlparser"
 	"plsqlaway/internal/sqltypes"
 	"plsqlaway/internal/storage"
 )
@@ -209,34 +214,153 @@ func TestRowTableIntAndEncodedPartitionsAgree(t *testing.T) {
 	}
 }
 
-func TestEvalBatchPureMatchesEval(t *testing.T) {
-	// (n + 2) * 3 >= 12 over rows 0..9, batch vs per-row.
-	expr := &ExprState{kind: kBin, op: ">=", bin: binCodeFor(">="), pure: true, kids: []*ExprState{
-		{kind: kBin, op: "*", bin: binCodeFor("*"), pure: true, kids: []*ExprState{
-			{kind: kBin, op: "+", bin: binCodeFor("+"), pure: true, kids: []*ExprState{
-				{kind: kInput, idx: 0, pure: true},
-				{kind: kConst, val: sqltypes.NewInt(2), pure: true},
-			}},
-			{kind: kConst, val: sqltypes.NewInt(3), pure: true},
-		}},
-		{kind: kConst, val: sqltypes.NewInt(12), pure: true},
-	}}
-	ctx := NewCtx()
-	rows := make([]storage.Tuple, 10)
-	for i := range rows {
-		rows[i] = storage.Tuple{sqltypes.NewInt(int64(i))}
+// evalBatchRows are the rows of t(a int, b int, x float, y float, s text,
+// u text, p bool) that TestEvalBatchPureMatchesEval evaluates over: int64
+// extremes, zero divisors, signed zeros, empty text and NULLs.
+var evalBatchRows = []storage.Tuple{
+	evalRow(7, 2, 1.5, -2.5, "abc", "abd", true),
+	evalRow(int64(math.MaxInt64), 1, math.Copysign(0, -1), 0.0, "", "b", false),
+	evalRow(int64(math.MinInt64), -1, 0.0, math.Copysign(0, -1), "z", "", true),
+	evalRow(5, 0, 2.0, 0.0, "10", "x", nil),
+	evalRow(nil, nil, nil, nil, nil, nil, nil),
+	evalRow(-3, nil, nil, 3.0, nil, "q", false),
+	evalRow(3, 3, 3.0, 3.5, "3", "3", true),
+	evalRow(0, -4, -1e300, 1e300, "a", "A", nil),
+}
+
+// evalRow builds one row of t; a nil argument is NULL.
+func evalRow(vals ...any) storage.Tuple {
+	t := make(storage.Tuple, len(vals))
+	for i, v := range vals {
+		switch v := v.(type) {
+		case nil:
+			t[i] = sqltypes.Null
+		case int:
+			t[i] = sqltypes.NewInt(int64(v))
+		case int64:
+			t[i] = sqltypes.NewInt(v)
+		case float64:
+			t[i] = sqltypes.NewFloat(v)
+		case string:
+			t[i] = sqltypes.NewText(v)
+		case bool:
+			t[i] = sqltypes.NewBool(v)
+		}
 	}
-	out := make([]sqltypes.Value, len(rows))
-	if err := expr.EvalBatch(ctx, rows, out); err != nil {
+	return t
+}
+
+// sameValue is strict identity: the same kind, and floats bit for bit
+// (so -0.0 and 0.0 differ, as do 1 and 1.0).
+func sameValue(a, b sqltypes.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	if a.Kind() == sqltypes.KindFloat {
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	}
+	return sqltypes.Identical(a, b)
+}
+
+// errText renders an error for comparison ("" for none).
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestEvalBatchPureMatchesEval holds EvalBatch, the executor's batch
+// evaluator, to Eval, its per-row reference, across the kernels: per row,
+// a one-row EvalBatch must give Eval's value (strictly: kind and float
+// bits) or Eval's error text; over the whole batch, EvalBatch must give
+// every row's value when no row errs, and one of the rows' errors when
+// some row does.
+func TestEvalBatchPureMatchesEval(t *testing.T) {
+	cat := catalog.New(&storage.Stats{})
+	if _, err := cat.CreateTable("t", []catalog.Column{
+		{Name: "a", Type: sqltypes.TypeInt}, {Name: "b", Type: sqltypes.TypeInt},
+		{Name: "x", Type: sqltypes.TypeFloat}, {Name: "y", Type: sqltypes.TypeFloat},
+		{Name: "s", Type: sqltypes.TypeText}, {Name: "u", Type: sqltypes.TypeText},
+		{Name: "p", Type: sqltypes.TypeBool},
+	}, false); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range rows {
-		want, err := expr.Eval(ctx, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sqltypes.Identical(want, out[i]) {
-			t.Errorf("row %d: batch=%v row-at-a-time=%v", i, out[i], want)
-		}
+	exprs := []string{
+		// int64 arithmetic and its overflow.
+		"a + b", "a - b", "a * b", "-a", "-(-9223372036854775808)", "(a + 2) * 3 >= 12",
+		// Division and modulo by zero.
+		"a / b", "a % b", "x / y",
+		// Signed zeros.
+		"x = y", "x < y", "-x", "x * -1.0",
+		// Mixed int/float arithmetic and comparison.
+		"a + x", "a * y", "x - a", "a = x", "a < y", "b >= x",
+		// Text comparison and concatenation, NULL included.
+		"s < u", "s = u", "s || u", "s || NULL",
+		// Guards: AND and OR short-circuit past a division by zero.
+		"b <> 0 AND a / b > 0", "b = 0 OR a / b > 0", "p AND a > 0", "p OR b IS NULL",
+		// BETWEEN, IS [NOT] NULL, IN, casts, unary minus, CASE.
+		"a BETWEEN b AND 10", "x NOT BETWEEN -1.0 AND 1.0", "a IS NULL", "s IS NOT NULL",
+		"CAST(a AS float)", "CAST(x AS int)", "CAST(s AS int)", "-(a - b)",
+		"CASE WHEN b = 0 THEN 0 ELSE a / b END",
+	}
+	ctx := NewCtx()
+	for _, src := range exprs {
+		t.Run(src, func(t *testing.T) {
+			q, err := sqlparser.ParseQuery("SELECT " + src + " FROM t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := plan.Build(cat, q, plan.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			proj, ok := p.Root.(*plan.Project)
+			if !ok {
+				t.Fatalf("plan root is %T, want a Project", p.Root)
+			}
+			es, err := instantiateExpr(proj.Exprs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !es.pure {
+				t.Fatal("expression is not pure")
+			}
+			want := make([]sqltypes.Value, len(evalBatchRows))
+			var rowErrs []string
+			one := make([]sqltypes.Value, 1)
+			for i, r := range evalBatchRows {
+				v, err := es.Eval(ctx, r)
+				berr := es.EvalBatch(ctx, evalBatchRows[i:i+1], one)
+				if errText(err) != errText(berr) {
+					t.Errorf("row %d: Eval error %q, EvalBatch error %q", i, errText(err), errText(berr))
+					continue
+				}
+				if err != nil {
+					rowErrs = append(rowErrs, err.Error())
+					continue
+				}
+				if !sameValue(v, one[0]) {
+					t.Errorf("row %d: Eval %v (%s), EvalBatch %v (%s)", i, v, v.Kind(), one[0], one[0].Kind())
+				}
+				want[i] = v
+			}
+			out := make([]sqltypes.Value, len(evalBatchRows))
+			err = es.EvalBatch(ctx, evalBatchRows, out)
+			if len(rowErrs) > 0 {
+				if err == nil || !slices.Contains(rowErrs, err.Error()) {
+					t.Errorf("whole batch: error %q, want one of %q", errText(err), rowErrs)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("whole batch: %v", err)
+			}
+			for i := range out {
+				if !sameValue(want[i], out[i]) {
+					t.Errorf("whole batch row %d: EvalBatch %v, Eval %v", i, out[i], want[i])
+				}
+			}
+		})
 	}
 }

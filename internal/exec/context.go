@@ -100,12 +100,6 @@ type Ctx struct {
 	// the batch pipeline degenerate to tuple-at-a-time Volcano iteration.
 	BatchSize int
 
-	// Columnar enables the unboxed column-vector fast paths (EvalCol
-	// kernels, columnar filter/join/recursion/aggregation). Off, every
-	// operator runs the boxed row-major paths — the differential suites
-	// compare the two end-to-end.
-	Columnar bool
-
 	// Depth guards runaway UDF recursion (PL/pgSQL calling itself).
 	CallDepth    int
 	MaxCallDepth int
@@ -164,7 +158,6 @@ func NewCtx() *Ctx {
 		MaxRecursion: 20_000_000,
 		MaxCallDepth: 256,
 		BatchSize:    DefaultBatchSize,
-		Columnar:     true,
 		TS:           storage.AllVisible,
 	}
 }

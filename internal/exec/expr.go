@@ -64,11 +64,6 @@ type ExprState struct {
 	// evaluation counts or the deterministic random() stream.
 	pure bool
 
-	// colable marks subtrees the columnar evaluator covers (EvalCol);
-	// cres is its per-node result scratch column.
-	colable bool
-	cres    Column
-
 	// bufs are per-operand scratch columns for batch evaluation, reused
 	// across calls (an ExprState belongs to one executor instantiation and
 	// is never evaluated reentrantly when pure).
@@ -93,7 +88,6 @@ func instantiateExpr(e plan.Expr) (*ExprState, error) {
 		return nil, err
 	}
 	es.pure = es.computePure()
-	es.colable = es.computeColable()
 	return es, nil
 }
 

@@ -243,11 +243,10 @@ type hashJoinNode struct {
 	rightOpened bool
 	held        bool // registered with the run (Ctx.hold)
 
-	in         *Batch // left rows
-	inIdx      int
-	leftEOF    bool
-	keyCols    [][]sqltypes.Value // leftKeys evaluated over the current left batch
-	keysEvaled bool               // keyCols valid for the current left batch
+	in      *Batch // left rows
+	inIdx   int
+	leftEOF bool
+	keyCols [][]sqltypes.Value // leftKeys evaluated over the current left batch
 
 	keyRow []sqltypes.Value // per-row probe key scratch
 
@@ -256,21 +255,6 @@ type hashJoinNode struct {
 	curLeft storage.Tuple
 	haveCur bool
 	matched bool
-
-	// Columnar probe state (gatherColumnar). The columnar and boxed paths
-	// share n.in/n.inIdx/n.leftEOF, so either can pick up a left batch the
-	// other started — but each keeps its own mid-row resume state and only
-	// hands off at row boundaries.
-	keyCol     *Column   // probe-key lane of the current left batch
-	leftSrc    []*Column // left columns of the current left batch
-	colKeyed   bool
-	colCand    []storage.Tuple
-	colCandIdx int
-	colLeftIdx int
-	colHaveCur bool
-	outCols    []Column
-	outPtrs    []*Column
-	selOne     [1]int32
 
 	// slab is the output-row arena: joined rows of one batch slice off a
 	// single allocation instead of paying one make per pair. A slot only
@@ -297,14 +281,12 @@ type hashJoinProjectNode struct {
 	exprs []*ExprState
 	mid   *Batch
 	cols  [][]sqltypes.Value
-	pcols []*Column
 }
 
 func (n *hashJoinProjectNode) Open(ctx *Ctx) error {
 	if n.mid == nil {
 		n.mid = NewBatch(ctx.BatchSize)
 		n.cols = make([][]sqltypes.Value, len(n.exprs))
-		n.pcols = make([]*Column, len(n.exprs))
 	}
 	return n.join.Open(ctx)
 }
@@ -320,12 +302,6 @@ func (n *hashJoinProjectNode) NextBatch(ctx *Ctx, out *Batch) error {
 	}
 	if n.mid.Len() == 0 {
 		return nil
-	}
-	if ctx.Columnar && n.mid.HasCols() && allColable(n.exprs) {
-		ok, err := projectColumnarBatch(ctx, n.exprs, n.mid, n.pcols, out)
-		if err != nil || ok {
-			return err
-		}
 	}
 	return projectColumns(ctx, n.exprs, n.mid.Rows(), n.cols, out)
 }
@@ -431,7 +407,7 @@ func (n *hashJoinNode) Rescan(ctx *Ctx) error {
 func (n *hashJoinNode) release() {
 	n.table.reset()
 	n.built, n.rightOpened, n.held = false, false, false
-	n.cand, n.colCand, n.curLeft = nil, nil, nil
+	n.cand, n.curLeft = nil, nil
 }
 
 func (n *hashJoinNode) resetProbe() {
@@ -439,9 +415,6 @@ func (n *hashJoinNode) resetProbe() {
 	n.inIdx = 0
 	n.leftEOF = false
 	n.haveCur = false
-	n.keysEvaled = false
-	n.colKeyed = false
-	n.colHaveCur = false
 }
 
 func (n *hashJoinNode) Close(ctx *Ctx) error {
@@ -520,18 +493,6 @@ func (n *hashJoinNode) combine(out *Batch, left, right storage.Tuple) storage.Tu
 // tree walk per candidate. Left joins (matched bookkeeping drives null
 // extension) and impure residuals keep the per-candidate path.
 func (n *hashJoinNode) NextBatch(ctx *Ctx, out *Batch) error {
-	if n.canGatherColumnar(ctx) {
-		handled, err := n.gatherColumnar(ctx, out)
-		if err != nil {
-			return err
-		}
-		if handled {
-			return nil
-		}
-		// Not columnar-probeable right now (row-major left batch, non-lane
-		// key, or the boxed path is mid-row): fall through — the boxed path
-		// resumes from the shared batch cursor.
-	}
 	if n.residualAllKeys && n.table.exact() {
 		// Bucket membership already decides the key equalities — for any
 		// join kind: match, left-join null-extension, and the single-row
@@ -646,17 +607,10 @@ func (n *hashJoinNode) gatherBatch(ctx *Ctx, out *Batch, applyResidual bool) err
 				return err
 			}
 			n.inIdx = 0
-			n.keysEvaled = false
-			n.colKeyed = false
 			if n.in.Len() == 0 {
 				n.leftEOF = true
 				return nil
 			}
-		}
-		// Probe keys evaluate lazily per left batch: a batch the columnar
-		// path started (and handed off mid-way) has its keys evaluated here,
-		// once, on first boxed consumption.
-		if !n.keysEvaled {
 			rows := n.in.Rows()
 			for k, ke := range n.leftKeys {
 				n.keyCols[k] = growVals(n.keyCols[k], len(rows))
@@ -664,7 +618,6 @@ func (n *hashJoinNode) gatherBatch(ctx *Ctx, out *Batch, applyResidual bool) err
 					return err
 				}
 			}
-			n.keysEvaled = true
 		}
 		i := n.inIdx
 		n.inIdx++
@@ -680,184 +633,5 @@ func (n *hashJoinNode) gatherBatch(ctx *Ctx, out *Batch, applyResidual bool) err
 		n.candIdx = 0
 		n.matched = false
 		n.haveCur = true
-	}
-}
-
-// canGatherColumnar reports the plan-shape half of the columnar probe's
-// eligibility: an inner join on one key lane with no residual work left
-// after the bucket match — either no residual at all, or a pure residual
-// that is exactly the key equalities over a provably exact table. (Valid
-// only after build; NextBatch runs post-Open.)
-func (n *hashJoinNode) canGatherColumnar(ctx *Ctx) bool {
-	if !ctx.Columnar || n.kind != plan.JoinInner || len(n.leftKeys) != 1 || !n.leftKeys[0].colable {
-		return false
-	}
-	if n.residual == nil {
-		return true
-	}
-	return n.residual.pure && n.residualAllKeys && n.table.exact()
-}
-
-// gatherColumnar probes the int map with unboxed key lanes and gathers
-// matches into typed output columns: left columns gather per-pair from the
-// (columnar) left batch, build-side values append from the stored tuples.
-// The joined batch is emitted columnar — no combined row is ever
-// materialized. Returns handled=false (out untouched) when the current left
-// batch is not columnar-probeable; the boxed path picks the cursor up at
-// the exact row this path stopped at.
-func (n *hashJoinNode) gatherColumnar(ctx *Ctx, out *Batch) (bool, error) {
-	if n.haveCur {
-		return false, nil // boxed path is mid-row; let it finish
-	}
-	out.begin()
-	emitted := 0
-	prepared := false
-	var leftW, w int
-	prep := func() {
-		leftW = n.in.NumCols()
-		w = leftW + n.rightWidth
-		if cap(n.outCols) < w {
-			n.outCols = make([]Column, w)
-			n.outPtrs = make([]*Column, w)
-		}
-		n.outCols = n.outCols[:w]
-		n.outPtrs = n.outPtrs[:w]
-		for c := 0; c < w; c++ {
-			n.outCols[c].reset()
-			n.outPtrs[c] = &n.outCols[c]
-		}
-		prepared = true
-	}
-	for {
-		// Emit pending candidates of the current left row.
-		if n.colHaveCur {
-			if !prepared {
-				prep()
-			}
-			for n.colCandIdx < len(n.colCand) {
-				if emitted >= out.Cap() {
-					out.SetCols(n.outPtrs, emitted)
-					return true, nil
-				}
-				rt := n.colCand[n.colCandIdx]
-				n.colCandIdx++
-				n.selOne[0] = int32(n.colLeftIdx)
-				for c := 0; c < leftW; c++ {
-					n.outCols[c].appendFrom(n.leftSrc[c], n.selOne[:])
-				}
-				for c := 0; c < n.rightWidth; c++ {
-					n.outCols[leftW+c].appendValue(rt[c])
-				}
-				emitted++
-			}
-			n.colHaveCur = false
-			if emitted >= out.Cap() {
-				// Stop before pulling (and computing) more left rows — a
-				// LIMIT above may never ask for them.
-				out.SetCols(n.outPtrs, emitted)
-				return true, nil
-			}
-		}
-		// Advance to the next left row, refilling as needed.
-		if n.inIdx >= n.in.Len() {
-			if n.leftEOF {
-				if emitted > 0 {
-					out.SetCols(n.outPtrs, emitted)
-				}
-				return true, nil
-			}
-			lim := out.Cap()
-			if lim > 1 && lim < ctx.BatchSize {
-				lim = 1
-			}
-			n.in.SetLimit(lim)
-			if err := n.left.NextBatch(ctx, n.in); err != nil {
-				return true, err
-			}
-			n.inIdx = 0
-			n.keysEvaled = false
-			n.colKeyed = false
-			if n.in.Len() == 0 {
-				n.leftEOF = true
-				if emitted > 0 {
-					out.SetCols(n.outPtrs, emitted)
-				}
-				return true, nil
-			}
-		}
-		if !n.in.HasCols() {
-			// Row-major left batch: hand it to the boxed path whole (or
-			// flush what this path already gathered first).
-			if emitted > 0 {
-				out.SetCols(n.outPtrs, emitted)
-				return true, nil
-			}
-			return false, nil
-		}
-		if !n.colKeyed {
-			col, err := n.leftKeys[0].EvalCol(ctx, n.in)
-			if err != nil {
-				return true, err
-			}
-			if col == nil || (col.Kind != ColInt && col.Kind != ColFloat && col.Kind != ColNull) {
-				if emitted > 0 {
-					out.SetCols(n.outPtrs, emitted)
-					return true, nil
-				}
-				return false, nil
-			}
-			n.keyCol = col
-			n.leftSrc = n.leftSrc[:0]
-			for c := 0; c < n.in.NumCols(); c++ {
-				src, cerr := n.in.Col(c)
-				if cerr != nil {
-					return true, cerr
-				}
-				n.leftSrc = append(n.leftSrc, src)
-			}
-			n.colKeyed = true
-		}
-		// A numeric probe lane against any non-numeric build key raises the
-		// same error rowTable.probe raises, on the first non-NULL probe row.
-		mismatch := n.table.colKinds != nil && n.table.colKinds[0]&^1 != 0
-		for n.inIdx < n.in.Len() {
-			i := n.inIdx
-			if n.keyCol.null(i) {
-				n.inIdx++
-				continue
-			}
-			if mismatch {
-				kind := sqltypes.KindInt
-				if n.keyCol.Kind == ColFloat {
-					kind = sqltypes.KindFloat
-				}
-				return true, fmt.Errorf("exec: cannot compare join key of kind %s with every build-side key", kind)
-			}
-			var bits int64
-			if n.keyCol.Kind == ColInt {
-				bits = int64(math.Float64bits(float64(n.keyCol.Ints[i])))
-			} else {
-				f := n.keyCol.Floats[i]
-				if f == 0 {
-					f = 0
-				} else if math.IsNaN(f) {
-					f = math.NaN()
-				}
-				bits = int64(math.Float64bits(f))
-			}
-			n.inIdx++
-			if n.table.ints == nil {
-				continue
-			}
-			cand := n.table.ints[bits]
-			if len(cand) == 0 {
-				continue
-			}
-			n.colCand = cand
-			n.colCandIdx = 0
-			n.colLeftIdx = i
-			n.colHaveCur = true
-			break
-		}
 	}
 }

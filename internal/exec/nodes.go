@@ -393,11 +393,6 @@ type filterNode struct {
 	pred  *ExprState
 	in    *Batch
 	sel   []sqltypes.Value
-
-	// columnar-path scratch: selection indices and gathered output columns.
-	fsel  []int32
-	fcols []Column
-	fptrs []*Column
 }
 
 func (n *filterNode) Open(ctx *Ctx) error {
@@ -411,10 +406,8 @@ func (n *filterNode) Close(ctx *Ctx) error  { return n.child.Close(ctx) }
 
 // NextBatch pulls input batches sized to the consumer's limit (so bounded
 // consumers like LIMIT or subplan pulls never over-read) and evaluates the
-// predicate over each whole batch before compacting survivors into out.
-// Colable predicates evaluate through the typed kernels (EvalCol) whatever
-// the input layout; survivors are gathered columnar when the input is
-// columnar and emitted as zero-copy row headers otherwise.
+// predicate over each whole batch before compacting survivors into out as
+// zero-copy row headers.
 func (n *filterNode) NextBatch(ctx *Ctx, out *Batch) error {
 	out.begin()
 	for {
@@ -424,21 +417,6 @@ func (n *filterNode) NextBatch(ctx *Ctx, out *Batch) error {
 		}
 		if n.in.Len() == 0 {
 			return nil
-		}
-		if ctx.Columnar && n.pred.colable {
-			col, err := n.pred.EvalCol(ctx, n.in)
-			if err != nil {
-				return err
-			}
-			if col != nil {
-				if err := n.filterColumnar(col, out); err != nil {
-					return err
-				}
-				if out.Len() > 0 {
-					return nil
-				}
-				continue
-			}
 		}
 		rows := n.in.Rows()
 		n.sel = growVals(n.sel, len(rows))
@@ -456,58 +434,17 @@ func (n *filterNode) NextBatch(ctx *Ctx, out *Batch) error {
 	}
 }
 
-// filterColumnar compacts the survivors of one predicate column into out.
-func (n *filterNode) filterColumnar(pred *Column, out *Batch) error {
-	m := n.in.Len()
-	n.fsel = n.fsel[:0]
-	for i := 0; i < m; i++ {
-		if pred.truth(i) {
-			n.fsel = append(n.fsel, int32(i))
-		}
-	}
-	if len(n.fsel) == 0 {
-		return nil
-	}
-	if !n.in.HasCols() {
-		rows := n.in.Rows()
-		for _, i := range n.fsel {
-			out.Add(rows[i])
-		}
-		return nil
-	}
-	w := n.in.NumCols()
-	if cap(n.fcols) < w {
-		n.fcols = make([]Column, w)
-		n.fptrs = make([]*Column, w)
-	}
-	n.fcols = n.fcols[:w]
-	n.fptrs = n.fptrs[:w]
-	for c := 0; c < w; c++ {
-		src, err := n.in.Col(c)
-		if err != nil {
-			return err
-		}
-		n.fcols[c].reset()
-		n.fcols[c].appendFrom(src, n.fsel)
-		n.fptrs[c] = &n.fcols[c]
-	}
-	out.SetCols(n.fptrs, len(n.fsel))
-	return nil
-}
-
 type projectNode struct {
 	child Node
 	exprs []*ExprState
 	in    *Batch
 	cols  [][]sqltypes.Value
-	pcols []*Column
 }
 
 func (n *projectNode) Open(ctx *Ctx) error {
 	if n.in == nil {
 		n.in = NewBatch(ctx.BatchSize)
 		n.cols = make([][]sqltypes.Value, len(n.exprs))
-		n.pcols = make([]*Column, len(n.exprs))
 	}
 	return n.child.Open(ctx)
 }
@@ -527,43 +464,7 @@ func (n *projectNode) NextBatch(ctx *Ctx, out *Batch) error {
 	if n.in.Len() == 0 {
 		return nil
 	}
-	if ctx.Columnar && n.in.HasCols() && allColable(n.exprs) {
-		ok, err := projectColumnarBatch(ctx, n.exprs, n.in, n.pcols, out)
-		if err != nil || ok {
-			return err
-		}
-	}
 	return projectColumns(ctx, n.exprs, n.in.Rows(), n.cols, out)
-}
-
-// allColable reports whether every expression has a columnar evaluation.
-func allColable(exprs []*ExprState) bool {
-	for _, e := range exprs {
-		if !e.colable {
-			return false
-		}
-	}
-	return true
-}
-
-// projectColumnarBatch evaluates a fully-colable projection over a columnar
-// input batch, emitting zero-copy column aliases (input columns pass
-// through untouched; computed columns live in their expressions' scratch,
-// valid until the next evaluation — the producer-owned-view lifetime).
-// Returns false with out untouched when any expression bails at runtime.
-func projectColumnarBatch(ctx *Ctx, exprs []*ExprState, in *Batch, ptrs []*Column, out *Batch) (bool, error) {
-	for i, e := range exprs {
-		c, err := e.EvalCol(ctx, in)
-		if err != nil {
-			return false, err
-		}
-		if c == nil {
-			return false, nil
-		}
-		ptrs[i] = c
-	}
-	out.SetCols(ptrs, in.Len())
-	return true, nil
 }
 
 // projectColumns evaluates a projection over one input batch

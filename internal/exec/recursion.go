@@ -3,91 +3,20 @@ package exec
 import (
 	"fmt"
 
-	"plsqlaway/internal/sqltypes"
 	"plsqlaway/internal/storage"
 )
 
-// rowSet is one generation of a recursion working table. The hot frontier
-// shape — all-integer rows with no NULLs, the paper's graph-traversal
-// closure — stays columnar in unboxed int64 lanes: nothing for the GC to
-// scan, one machine word per row per column, and the lanes are handed back
-// to the working-table scan as zero-copy column views. Any other shape
-// falls back to boxed rows. A set picks its layout on first absorb and
-// demotes to rows if a later batch disagrees; each generation is a fresh
-// set, so the layouts may differ across iterations. UNION dedup keeps the
-// lane layout only for single-column frontiers (tupleSet's int fast path);
-// wider deduped frontiers need boxed keys anyway, so they stay rows.
+// rowSet is one generation of a recursion working table.
 type rowSet struct {
-	colar bool
-	w     int
-	lanes [][]int64
-	rows  []storage.Tuple
+	rows []storage.Tuple
 }
 
-func (s *rowSet) len() int {
-	if s.colar {
-		return len(s.lanes[0])
-	}
-	return len(s.rows)
-}
-
-// allIntLanes reports whether every column of the batch is a NULL-free int
-// lane — the only shape the lane layout holds losslessly. Row-major batches
-// answer through the Batch's cached transpose, so a seed generation
-// produced by a row-major term (DISTINCT, VALUES) still lands in lanes and
-// keeps every later generation columnar.
-func allIntLanes(b *Batch, w int) bool {
-	for c := 0; c < w; c++ {
-		col, err := b.Col(c)
-		if err != nil || col.Kind != ColInt {
-			return false
-		}
-		for _, isNull := range col.Nulls {
-			if isNull {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (s *rowSet) len() int { return len(s.rows) }
 
 // absorb appends the batch's rows, dedup-filtering through seen when
-// non-nil. Row headers from row-major batches are retained as-is (producers
-// materialize fresh backing for retainable rows, per the Batch contract).
+// non-nil. Row headers are retained as-is (producers materialize fresh
+// backing for retainable rows, per the Batch contract).
 func (s *rowSet) absorb(b *Batch, seen *tupleSet) {
-	m := b.Len()
-	if m == 0 {
-		return
-	}
-	w := b.Width()
-	if w > 0 && (seen == nil || w == 1) &&
-		((s.colar && s.w == w) || s.len() == 0) && allIntLanes(b, w) {
-		if !s.colar {
-			s.colar = true
-			s.w = w
-			if cap(s.lanes) < w {
-				s.lanes = make([][]int64, w)
-			}
-			s.lanes = s.lanes[:w]
-		}
-		if seen == nil {
-			for c := 0; c < w; c++ {
-				col, _ := b.Col(c)
-				s.lanes[c] = append(s.lanes[c], col.Ints[:m]...)
-			}
-			return
-		}
-		col, _ := b.Col(0)
-		for _, v := range col.Ints[:m] {
-			if seen.addInt(v) {
-				s.lanes[0] = append(s.lanes[0], v)
-			}
-		}
-		return
-	}
-	if s.colar {
-		s.demote()
-	}
 	if seen == nil {
 		s.rows = append(s.rows, b.Rows()...)
 		return
@@ -99,60 +28,22 @@ func (s *rowSet) absorb(b *Batch, seen *tupleSet) {
 	}
 }
 
-// demote boxes the int lanes into rows (mixed-shape generations).
-func (s *rowSet) demote() {
-	n := s.len()
-	rows := make([]storage.Tuple, 0, n)
-	backing := make([]sqltypes.Value, n*s.w)
-	for i := 0; i < n; i++ {
-		t := backing[i*s.w : (i+1)*s.w : (i+1)*s.w]
-		for c := 0; c < s.w; c++ {
-			t[c] = sqltypes.NewInt(s.lanes[c][i])
-		}
-		rows = append(rows, storage.Tuple(t))
-	}
-	s.rows = rows
-	s.lanes = nil
-	s.colar = false
-	s.w = 0
-}
-
-// emitChunk fills out with up to Cap rows starting at idx and returns the
-// new index. Lane sets emit zero-copy column views through the caller's
-// scratch (valid until the caller's next emit — the producer-owned-view
-// lifetime); row sets emit row headers.
-func (s *rowSet) emitChunk(out *Batch, idx int, views *[]Column, ptrs *[]*Column) int {
+// emitChunk fills out with up to Cap row headers starting at idx and
+// returns the new index.
+func (s *rowSet) emitChunk(out *Batch, idx int) int {
 	out.begin()
-	n := s.len()
-	if idx >= n {
+	end := min(idx+out.Cap(), len(s.rows))
+	if idx >= end {
 		return idx
 	}
-	end := idx + out.Cap()
-	if end > n {
-		end = n
-	}
-	if s.colar {
-		if cap(*views) < s.w {
-			*views = make([]Column, s.w)
-			*ptrs = make([]*Column, s.w)
-		}
-		vs := (*views)[:s.w]
-		ps := (*ptrs)[:s.w]
-		for c := 0; c < s.w; c++ {
-			vs[c] = Column{Kind: ColInt, Ints: s.lanes[c][idx:end]}
-			ps[c] = &vs[c]
-		}
-		out.SetCols(ps, end-idx)
-	} else {
-		out.Append(s.rows[idx:end])
-	}
+	out.Append(s.rows[idx:end])
 	return end
 }
 
 // cteScanNode reads a common table expression. A working scan (the
 // self-reference inside a recursive term) streams the current working
-// table — columnar when the generation is lane-shaped; plain scans stream
-// the store materialized by withNode through the store's chunked iterator.
+// table; plain scans stream the store materialized by withNode through
+// the store's chunked iterator.
 type cteScanNode struct {
 	index   int
 	working bool
@@ -161,11 +52,9 @@ type cteScanNode struct {
 	iter *storage.TupleIterator
 	buf  []storage.Tuple
 	// working mode
-	set   *rowSet
-	idx   int
-	views []Column
-	ptrs  []*Column
-	held  bool
+	set  *rowSet
+	idx  int
+	held bool
 }
 
 func (n *cteScanNode) release() { n.iter, n.set, n.held = nil, nil, false }
@@ -197,7 +86,7 @@ func (n *cteScanNode) NextBatch(ctx *Ctx, out *Batch) error {
 			out.begin()
 			return nil
 		}
-		n.idx = n.set.emitChunk(out, n.idx, &n.views, &n.ptrs)
+		n.idx = n.set.emitChunk(out, n.idx)
 		return nil
 	}
 	out.begin()
@@ -228,11 +117,8 @@ func (n *cteScanNode) NextBatch(ctx *Ctx, out *Batch) error {
 // recursive term through the batch pipeline (the working-table scan hands
 // the current generation out in chunks, the hash-join probe and projection
 // evaluate vectorized over those chunks), which is exactly the quadratic-
-// trace hot loop of the paper's Table 2 experiment. Single-column integer
-// generations live in rowSet int lanes end to end — scan emission, join
-// probe, projection, dedup (tupleSet's int fast path), and the next
-// generation's accumulation never box a value. UNION dedup runs through a
-// tupleSet with an int fast path for single-column frontiers.
+// trace hot loop of the paper's Table 2 experiment. UNION dedup runs
+// through a tupleSet with an int fast path for single-column frontiers.
 //
 // Iterate mode emits nothing until the iteration converges, then emits only
 // the final non-empty working table: tail recursion needs no trace, so no
@@ -251,8 +137,6 @@ type recursiveUnionNode struct {
 	shuttle    *Batch
 	iterations int
 	opened     bool
-	views      []Column
-	ptrs       []*Column
 	held       bool
 }
 
@@ -370,7 +254,7 @@ func (n *recursiveUnionNode) NextBatch(ctx *Ctx, out *Batch) error {
 	out.begin()
 	for {
 		if n.batch != nil && n.batchIdx < n.batch.len() {
-			n.batchIdx = n.batch.emitChunk(out, n.batchIdx, &n.views, &n.ptrs)
+			n.batchIdx = n.batch.emitChunk(out, n.batchIdx)
 			return nil
 		}
 		if n.phase == 1 || n.iterate {

@@ -15,7 +15,7 @@ import (
 // FromInline, which the apply/decorrelation passes (apply.go) then lower
 // into Apply nodes and hash joins. The inlined plan contains no
 // UDFCallExpr, so the executor's batch-size-1 volatile/UDF clamp lifts
-// automatically and the columnar kernels stay engaged.
+// automatically and the call site runs at the full batch size.
 
 // maxInlineDepth bounds transitive inlining (f calls g calls h …); bodies
 // deeper than this stay opaque calls. Direct or mutual recursion is cut

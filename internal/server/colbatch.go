@@ -5,13 +5,14 @@ import (
 	"fmt"
 
 	"plsqlaway/internal/exec"
+	"plsqlaway/internal/sqltypes"
+	"plsqlaway/internal/storage"
 	"plsqlaway/internal/wire"
 )
 
-// writeBatch emits one executor batch as a columnar ColBatch frame, the
-// typed lanes aliased straight into the encoder.
+// writeBatch emits one executor batch as a ColBatch frame.
 func (c *conn) writeBatch(b *exec.Batch) error {
-	if err := colBatch(b, &c.cb); err != nil {
+	if err := colBatch(b.Rows(), &c.cb); err != nil {
 		return err
 	}
 	return c.writeRows(0, c.cb.NumRows)
@@ -67,49 +68,111 @@ func sliceCols(src, dst *wire.ColBatch, lo, hi int) {
 	}
 }
 
-// colBatch re-frames one executor batch as a wire ColBatch, aliasing the
-// executor's typed column lanes — zero copies for int, float, bool, and
-// text columns. The message is valid only until the executor's next pull
-// (the lanes are producer-owned), which is fine: the caller encodes and
-// writes it before pulling again.
-func colBatch(b *exec.Batch, m *wire.ColBatch) error {
-	n, w := b.Len(), b.Width()
+// colBatch re-frames the rows of one executor batch as the wire ColBatch
+// m, reusing the lanes m already holds. The message is valid until the
+// next call, which is fine: the caller encodes and writes it first.
+func colBatch(rows []storage.Tuple, m *wire.ColBatch) error {
+	w := 0
+	if len(rows) > 0 {
+		w = len(rows[0])
+	}
+	for r, row := range rows {
+		if len(row) != w {
+			return fmt.Errorf("result row %d has %d columns, want %d", r, len(row), w)
+		}
+	}
 	if cap(m.Cols) < w {
-		m.Cols = make([]wire.ColData, w)
+		m.Cols = append(m.Cols[:cap(m.Cols)], make([]wire.ColData, w-cap(m.Cols))...)
 	}
 	m.Cols = m.Cols[:w]
-	m.NumRows = n
-	for i := 0; i < w; i++ {
-		col, err := b.Col(i)
-		if err != nil {
-			return err
-		}
-		cd := &m.Cols[i]
-		*cd = wire.ColData{}
-		switch col.Kind {
-		case exec.ColInt:
-			cd.Tag = wire.ColTagInt
-			cd.Ints = col.Ints[:n]
-		case exec.ColFloat:
-			cd.Tag = wire.ColTagFloat
-			cd.Floats = col.Floats[:n]
-		case exec.ColBool:
-			cd.Tag = wire.ColTagBool
-			cd.Bools = col.Bools[:n]
-		case exec.ColStr:
-			cd.Tag = wire.ColTagText
-			cd.Texts = col.Strs[:n]
-		case exec.ColNull:
-			cd.Tag = wire.ColTagNull
-			continue // the bitmap is implied all-true; no value lane
-		default: // ColAny and anything future: kind-tagged values
-			cd.Tag = wire.ColTagAny
-			cd.Anys = col.Vals[:n]
-			continue // NULLs travel inside the boxed values
-		}
-		if col.Nulls != nil {
-			cd.Nulls = col.Nulls[:n]
-		}
+	m.NumRows = len(rows)
+	for c := range m.Cols {
+		fillCol(&m.Cols[c], rows, c)
 	}
 	return nil
+}
+
+// fillCol transposes column c of rows into cd in one pass. The first
+// non-NULL value picks the lane (Int, Float, Bool or Text); a value of
+// another kind, or of a composite kind, makes the column kind-tagged
+// values (Any), which carry their NULLs inline. A column without a
+// non-NULL value is Null. The Nulls bitmap of a typed lane stays nil
+// unless the column has a NULL.
+func fillCol(cd *wire.ColData, rows []storage.Tuple, c int) {
+	n, old := len(rows), *cd
+	*cd = wire.ColData{Tag: wire.ColTagNull}
+	markNull := func(r int) {
+		if cd.Nulls == nil {
+			cd.Nulls = zeroed(old.Nulls, n)
+		}
+		cd.Nulls[r] = true
+	}
+	for r, row := range rows {
+		v := row[c]
+		if v.IsNull() {
+			if cd.Tag != wire.ColTagNull {
+				markNull(r)
+			}
+			continue
+		}
+		tag := laneTag(v.Kind())
+		if cd.Tag == wire.ColTagNull {
+			cd.Tag = tag
+			for i := 0; i < r; i++ {
+				markNull(i)
+			}
+			switch tag {
+			case wire.ColTagInt:
+				cd.Ints = zeroed(old.Ints, n)
+			case wire.ColTagFloat:
+				cd.Floats = zeroed(old.Floats, n)
+			case wire.ColTagBool:
+				cd.Bools = zeroed(old.Bools, n)
+			case wire.ColTagText:
+				cd.Texts = zeroed(old.Texts, n)
+			}
+		}
+		switch {
+		case tag != cd.Tag || tag == wire.ColTagAny:
+			*cd = wire.ColData{Tag: wire.ColTagAny, Anys: zeroed(old.Anys, n)}
+			for i, row := range rows {
+				cd.Anys[i] = row[c]
+			}
+			return
+		case tag == wire.ColTagInt:
+			cd.Ints[r] = v.Int()
+		case tag == wire.ColTagFloat:
+			cd.Floats[r] = v.Float()
+		case tag == wire.ColTagBool:
+			cd.Bools[r] = v.Bool()
+		default:
+			cd.Texts[r] = v.Text()
+		}
+	}
+}
+
+// laneTag names the typed lane of a value kind, ColTagAny for the rest.
+func laneTag(k sqltypes.Kind) byte {
+	switch k {
+	case sqltypes.KindInt:
+		return wire.ColTagInt
+	case sqltypes.KindFloat:
+		return wire.ColTagFloat
+	case sqltypes.KindBool:
+		return wire.ColTagBool
+	case sqltypes.KindText:
+		return wire.ColTagText
+	}
+	return wire.ColTagAny
+}
+
+// zeroed returns buf resized to n zero values, reallocating only when it
+// must.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }

@@ -36,8 +36,8 @@ type conn struct {
 	// across response frames.
 	enc wire.Encoder
 	// cb and part are the scratch ColBatches reused across result frames:
-	// cb's lanes alias the executor batch (valid only until the next
-	// pull), part is the sub-range of cb a halved frame ships.
+	// cb holds the current executor batch transposed into lanes, part is
+	// the sub-range of cb a halved frame ships.
 	cb, part wire.ColBatch
 
 	// draining tells the reader to stop pulling new requests; the

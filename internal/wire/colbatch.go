@@ -10,10 +10,10 @@ import (
 // ColBatch is the result chunk — the only one: one executor batch shipped
 // column-at-a-time as unboxed typed arrays instead of kind-tagged values.
 // A homogeneous column costs 8 bytes per int/float (1 bit per bool) with
-// no per-value tag byte, and the server can alias the executor's column
-// lanes directly into the encoder — no row materialization on the hot
-// path. Columns that stay mixed-type fall back to the tagged Value
-// encoding inside the same frame (ColTagAny), so any result shape fits.
+// no per-value tag byte; the server fills each lane from the executor's
+// rows in one pass per column. Columns that stay mixed-type fall back to
+// the tagged Value encoding inside the same frame (ColTagAny), so any
+// result shape fits.
 //
 // Layout: uvarint row count, uvarint column count, then per column a tag
 // byte, a has-nulls flag byte, an optional null bitmap (ceil(n/8) bytes,

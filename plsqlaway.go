@@ -143,10 +143,6 @@ func WithWorkMem(bytes int) engine.Option { return engine.WithWorkMem(bytes) }
 // tuple-at-a-time Volcano iteration).
 func WithBatchSize(n int) engine.Option { return engine.WithBatchSize(n) }
 
-// WithColumnar toggles the executor's unboxed column-vector fast paths
-// (default on); off forces the boxed row-major kernels everywhere.
-func WithColumnar(on bool) engine.Option { return engine.WithColumnar(on) }
-
 // Compile runs the paper's full pipeline on the text of a
 // CREATE FUNCTION … LANGUAGE plpgsql statement.
 func Compile(src string, opt Options) (*Result, error) { return core.Compile(src, opt) }
