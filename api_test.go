@@ -10,22 +10,22 @@ import (
 
 // TestPublicAPIRoundTrip exercises exactly the surface the README shows.
 func TestPublicAPIRoundTrip(t *testing.T) {
-	e := plsqlaway.NewEngine(plsqlaway.WithSeed(7))
-	if err := e.Exec(workload.GcdSrc); err != nil {
+	s := plsqlaway.NewEngine(plsqlaway.WithSeed(7)).NewSession()
+	if err := s.Exec(workload.GcdSrc); err != nil {
 		t.Fatal(err)
 	}
 	res, err := plsqlaway.Compile(workload.GcdSrc, plsqlaway.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plsqlaway.Install(e, "gcd_c", res); err != nil {
+	if err := plsqlaway.Install(s, "gcd_c", res); err != nil {
 		t.Fatal(err)
 	}
-	a, err := e.QueryValue("SELECT gcd($1, $2)", plsqlaway.Int(48), plsqlaway.Int(18))
+	a, err := s.QueryValue("SELECT gcd($1, $2)", plsqlaway.Int(48), plsqlaway.Int(18))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.QueryValue("SELECT gcd_c($1, $2)", plsqlaway.Int(48), plsqlaway.Int(18))
+	b, err := s.QueryValue("SELECT gcd_c($1, $2)", plsqlaway.Int(48), plsqlaway.Int(18))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,24 +42,24 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicValueConstructors(t *testing.T) {
-	e := plsqlaway.NewEngine()
-	v, err := e.QueryValue("SELECT $1", plsqlaway.Coord(3, 2))
+	s := plsqlaway.NewEngine().NewSession()
+	v, err := s.QueryValue("SELECT $1", plsqlaway.Coord(3, 2))
 	if err != nil || v.String() != "(3,2)" {
 		t.Errorf("coord param: %v %v", v, err)
 	}
-	v, _ = e.QueryValue("SELECT $1 || $2", plsqlaway.Text("a"), plsqlaway.Text("b"))
+	v, _ = s.QueryValue("SELECT $1 || $2", plsqlaway.Text("a"), plsqlaway.Text("b"))
 	if v.Text() != "ab" {
 		t.Errorf("text: %v", v)
 	}
-	v, _ = e.QueryValue("SELECT $1 AND true", plsqlaway.Bool(false))
+	v, _ = s.QueryValue("SELECT $1 AND true", plsqlaway.Bool(false))
 	if v.Bool() {
 		t.Errorf("bool: %v", v)
 	}
-	v, _ = e.QueryValue("SELECT $1 * 2.0", plsqlaway.Float(1.25))
+	v, _ = s.QueryValue("SELECT $1 * 2.0", plsqlaway.Float(1.25))
 	if v.Float() != 2.5 {
 		t.Errorf("float: %v", v)
 	}
-	v, _ = e.QueryValue("SELECT coalesce($1, 9)", plsqlaway.Null)
+	v, _ = s.QueryValue("SELECT coalesce($1, 9)", plsqlaway.Null)
 	if v.Int() != 9 {
 		t.Errorf("null: %v", v)
 	}
@@ -68,7 +68,7 @@ func TestPublicValueConstructors(t *testing.T) {
 // TestProfilesExposed checks the three engine profiles behave as the paper
 // describes at the API level.
 func TestProfilesExposed(t *testing.T) {
-	lite := plsqlaway.NewEngine(plsqlaway.WithProfile(plsqlaway.ProfileSQLite))
+	lite := plsqlaway.NewEngine(plsqlaway.WithProfile(plsqlaway.ProfileSQLite)).NewSession()
 	if err := lite.Exec(workload.FibSrc); err == nil {
 		t.Error("sqlite must reject plpgsql")
 	}
@@ -84,7 +84,7 @@ func TestProfilesExposed(t *testing.T) {
 		t.Errorf("fib on sqlite: %v %v", v, err)
 	}
 
-	ora := plsqlaway.NewEngine(plsqlaway.WithProfile(plsqlaway.ProfileOracle))
+	ora := plsqlaway.NewEngine(plsqlaway.WithProfile(plsqlaway.ProfileOracle)).NewSession()
 	if err := ora.Exec(workload.FibSrc); err != nil {
 		t.Fatal(err)
 	}

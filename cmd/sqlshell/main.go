@@ -79,7 +79,7 @@ func main() {
 		// \stats can summarize latency distributions (p50/p95/p99).
 		reg := obs.NewRegistry()
 		e := engine.New(engine.WithProfile(prof), engine.WithSeed(*seed), engine.WithMetricsRegistry(reg))
-		b = &localBackend{e: e, s: e.NewSession(), reg: reg}
+		b = &localBackend{s: e.NewSession(), reg: reg}
 	}
 
 	for _, path := range flag.Args() {
@@ -156,7 +156,6 @@ func repl(b backend) {
 // ---------------------------------------------------------------------------
 
 type localBackend struct {
-	e   *engine.Engine
 	s   *engine.Session // the shell's one session: seed, notices, counters
 	reg *obs.Registry   // the engine's metrics registry, for \stats
 }
@@ -182,12 +181,12 @@ func (b *localBackend) Meta(cmd string) bool {
 	case "\\q", "\\quit":
 		return true
 	case "\\tables":
-		for _, t := range b.e.Catalog().TableNames() {
+		for _, t := range b.s.Catalog().TableNames() {
 			fmt.Println(t)
 		}
 	case "\\functions":
-		for _, f := range b.e.Catalog().FunctionNames() {
-			fn, _ := b.e.Catalog().Function(f)
+		for _, f := range b.s.Catalog().FunctionNames() {
+			fn, _ := b.s.Catalog().Function(f)
 			fmt.Printf("%s (%s)\n", f, fn.Kind)
 		}
 	case "\\compile":
@@ -195,11 +194,11 @@ func (b *localBackend) Meta(cmd string) bool {
 			fmt.Println("usage: \\compile <function>")
 			return false
 		}
-		if err := compileAway(b.e, fields[1]); err != nil {
+		if err := compileAway(b.s, fields[1]); err != nil {
 			fmt.Println("error:", err)
 		}
 	case "\\stats":
-		st := b.e.StorageStats()
+		st := b.s.StorageStats()
 		fmt.Printf("storage  page writes %d · tuples written %d · commits %d · vacuums %d (reclaimed %d)\n",
 			st.PageWrites, st.TuplesWritten, st.Commits, st.Vacuums, st.VersionsReclaimed)
 		printHistogramSummaries(b.reg)
@@ -243,8 +242,8 @@ func fmtSeconds(v float64) string {
 
 // compileAway compiles a registered PL/pgSQL function and installs the
 // pure-SQL twin as <name>_c.
-func compileAway(e *engine.Engine, name string) error {
-	fn, ok := e.Catalog().Function(name)
+func compileAway(s *engine.Session, name string) error {
+	fn, ok := s.Catalog().Function(name)
 	if !ok {
 		return fmt.Errorf("function %q not found", name)
 	}
@@ -255,7 +254,7 @@ func compileAway(e *engine.Engine, name string) error {
 	if err != nil {
 		return err
 	}
-	if err := e.InstallCompiled(name+"_c", res.Params, res.ReturnType, res.Query); err != nil {
+	if err := s.InstallCompiled(name+"_c", res.Params, res.ReturnType, res.Query); err != nil {
 		return err
 	}
 	fmt.Printf("installed %s_c; emitted SQL:\n%s\n", name, sqlast.DeparseQuery(res.Query))

@@ -17,18 +17,18 @@ import (
 )
 
 // installCorpusTwins installs interpreted + compiled walk/parse/traverse.
-func installCorpusTwins(t *testing.T, e *plsqlaway.Engine) {
+func installCorpusTwins(t *testing.T, s *plsqlaway.Session) {
 	t.Helper()
 	for _, name := range []string{"walk", "parse", "traverse"} {
 		src := workload.Corpus[name]
-		if err := e.Exec(src); err != nil {
+		if err := s.Exec(src); err != nil {
 			t.Fatal(err)
 		}
 		res, err := plsqlaway.Compile(src, plsqlaway.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := plsqlaway.Install(e, name+"_c", res); err != nil {
+		if err := plsqlaway.Install(s, name+"_c", res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +42,8 @@ func TestConcurrentSessions(t *testing.T) {
 	const rounds = 6
 
 	e := newWorkloadEngine(t)
-	installCorpusTwins(t, e)
+	ref := e.NewSession()
+	installCorpusTwins(t, ref)
 	parseInput := plsqlaway.Text(workload.MakeParseInput(200, 11))
 
 	type call struct {
@@ -60,7 +61,6 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 
 	// Expected values from a quiet reference session, one seed per call.
-	ref := e.NewSession()
 	want := make([]plsqlaway.Value, len(calls))
 	for i, c := range calls {
 		ref.Seed(7)
@@ -116,10 +116,10 @@ func TestConcurrentSessionsWithDDL(t *testing.T) {
 	const rounds = 5
 
 	e := newWorkloadEngine(t)
-	installCorpusTwins(t, e)
+	ref := e.NewSession()
+	installCorpusTwins(t, ref)
 	parseInput := plsqlaway.Text(workload.MakeParseInput(120, 11))
 
-	ref := e.NewSession()
 	ref.Seed(3)
 	wantWalk, err := ref.QueryValue("SELECT walk_c($1, 1000000, -1000000, 60)", plsqlaway.Coord(1, 1))
 	if err != nil {
@@ -226,7 +226,7 @@ func TestConcurrentSessionsWithDDL(t *testing.T) {
 // DDL moves the catalog version mid-stream.
 func TestPreparedStatementsAcrossSessions(t *testing.T) {
 	e := plsqlaway.NewEngine()
-	if err := e.Exec("CREATE TABLE kv (k int, v int); INSERT INTO kv VALUES (1, 10), (2, 20), (3, 30)"); err != nil {
+	if err := e.NewSession().Exec("CREATE TABLE kv (k int, v int); INSERT INTO kv VALUES (1, 10), (2, 20), (3, 30)"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -89,17 +89,18 @@ var differentialGrid = map[string]diffCase{
 func newWorkloadEngine(t *testing.T, opts ...plsqlaway.EngineOption) *plsqlaway.Engine {
 	t.Helper()
 	e := plsqlaway.NewEngine(append([]plsqlaway.EngineOption{plsqlaway.WithSeed(42)}, opts...)...)
+	s := e.NewSession()
 	world := workload.NewRobotWorld(5, 5, 7)
-	if err := world.Install(e); err != nil {
+	if err := world.Install(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.InstallFSM(e); err != nil {
+	if err := workload.InstallFSM(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.InstallGraph(e, 4096, 3); err != nil {
+	if err := workload.InstallGraph(s, 4096, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.InstallFees(e); err != nil {
+	if err := workload.InstallFees(s); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -119,30 +120,30 @@ func TestDifferentialCorpus(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			e := newWorkloadEngine(t)
-			if err := e.Exec(src); err != nil {
+			s := newWorkloadEngine(t).NewSession()
+			if err := s.Exec(src); err != nil {
 				t.Fatalf("install interpreted: %v", err)
 			}
 			res, err := plsqlaway.Compile(src, plsqlaway.Options{})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			if err := plsqlaway.Install(e, name+"_c", res); err != nil {
+			if err := plsqlaway.Install(s, name+"_c", res); err != nil {
 				t.Fatalf("install compiled: %v", err)
 			}
 			resIter, err := plsqlaway.Compile(src, plsqlaway.Options{Iterate: true})
 			if err != nil {
 				t.Fatalf("compile (iterate): %v", err)
 			}
-			if err := plsqlaway.Install(e, name+"_ci", resIter); err != nil {
+			if err := plsqlaway.Install(s, name+"_ci", resIter); err != nil {
 				t.Fatalf("install compiled (iterate): %v", err)
 			}
 
 			for i, args := range c.args {
 				eval := func(fn string) plsqlaway.Value {
 					t.Helper()
-					e.Seed(99)
-					v, err := e.QueryValue(fmt.Sprintf(c.tmpl, fn), args...)
+					s.Seed(99)
+					v, err := s.QueryValue(fmt.Sprintf(c.tmpl, fn), args...)
 					if err != nil {
 						t.Fatalf("case %d: %s: %v", i, fn, err)
 					}
@@ -162,22 +163,23 @@ func TestDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// TestDifferentialOnSessions re-runs a sample of the grid through a
-// dedicated Session (not the engine facade), confirming the session layer
-// is behaviour-preserving: same seed, same stream, same answers.
+// TestDifferentialOnSessions re-runs a sample of the grid on two sessions
+// of one engine, confirming the session layer is behaviour-preserving:
+// same seed, same stream, same answers, whichever session registered a
+// function.
 func TestDifferentialOnSessions(t *testing.T) {
 	e := newWorkloadEngine(t)
+	s, other := e.NewSession(), e.NewSession()
 	src := workload.Corpus["walk"]
-	if err := e.Exec(src); err != nil {
+	if err := other.Exec(src); err != nil {
 		t.Fatal(err)
 	}
 	res, err := plsqlaway.Compile(src, plsqlaway.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := e.NewSession()
-	// Install through the session: registration lands in the shared
-	// catalog, so the facade sees it too.
+	// Install through s: registration lands in the shared catalog, so
+	// the other session sees it too.
 	if err := plsqlaway.Install(s, "walk_c", res); err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +197,13 @@ func TestDifferentialOnSessions(t *testing.T) {
 		if !sqltypes.Identical(want, got) {
 			t.Errorf("steps=%d: session interpreted=%v compiled=%v", steps, want, got)
 		}
-		e.Seed(99)
-		facade, err := e.QueryValue("SELECT walk_c($1, 1000000, -1000000, $2)", plsqlaway.Coord(2, 2), plsqlaway.Int(steps))
+		other.Seed(99)
+		fromOther, err := other.QueryValue("SELECT walk_c($1, 1000000, -1000000, $2)", plsqlaway.Coord(2, 2), plsqlaway.Int(steps))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sqltypes.Identical(want, facade) {
-			t.Errorf("steps=%d: session=%v facade=%v", steps, want, facade)
+		if !sqltypes.Identical(want, fromOther) {
+			t.Errorf("steps=%d: session=%v other session=%v", steps, want, fromOther)
 		}
 	}
 }
@@ -281,31 +283,31 @@ func TestDifferentialBatchVsTuple(t *testing.T) {
 				t.Fatalf("compile (iterate): %v", err)
 			}
 
-			es := make([]*plsqlaway.Engine, len(engines))
+			ss := make([]*plsqlaway.Session, len(engines))
 			for i, spec := range engines {
 				var opts []plsqlaway.EngineOption
 				if spec.size > 0 {
 					opts = append(opts, plsqlaway.WithBatchSize(spec.size))
 				}
-				e := newWorkloadEngine(t, opts...)
-				if err := e.Exec(src); err != nil {
+				s := newWorkloadEngine(t, opts...).NewSession()
+				if err := s.Exec(src); err != nil {
 					t.Fatalf("%s: install interpreted: %v", spec.label, err)
 				}
-				if err := plsqlaway.Install(e, name+"_c", res); err != nil {
+				if err := plsqlaway.Install(s, name+"_c", res); err != nil {
 					t.Fatalf("%s: install compiled: %v", spec.label, err)
 				}
-				if err := plsqlaway.Install(e, name+"_ci", resIter); err != nil {
+				if err := plsqlaway.Install(s, name+"_ci", resIter); err != nil {
 					t.Fatalf("%s: install compiled (iterate): %v", spec.label, err)
 				}
-				es[i] = e
+				ss[i] = s
 			}
 
 			for i, args := range c.args {
 				for _, fn := range []string{name, name + "_c", name + "_ci"} {
 					vals := make([]plsqlaway.Value, len(engines))
-					for j, e := range es {
-						e.Seed(7)
-						v, err := e.QueryValue(fmt.Sprintf(c.tmpl, fn), args...)
+					for j, s := range ss {
+						s.Seed(7)
+						v, err := s.QueryValue(fmt.Sprintf(c.tmpl, fn), args...)
 						if err != nil {
 							t.Fatalf("case %d: %s on %s: %v", i, fn, engines[j].label, err)
 						}
@@ -323,12 +325,12 @@ func TestDifferentialBatchVsTuple(t *testing.T) {
 	}
 
 	// formatted runs q on every engine of the grid, reseeding each first.
-	formatted := func(t *testing.T, es []*plsqlaway.Engine, q string) []string {
+	formatted := func(t *testing.T, ss []*plsqlaway.Session, q string) []string {
 		t.Helper()
-		texts := make([]string, len(es))
-		for j, e := range es {
-			e.Seed(1234)
-			res, err := e.Query(q)
+		texts := make([]string, len(ss))
+		for j, s := range ss {
+			s.Seed(1234)
+			res, err := s.Query(q)
 			if err != nil {
 				t.Fatalf("%s: %v\n%s", engines[j].label, err, q)
 			}
@@ -336,17 +338,17 @@ func TestDifferentialBatchVsTuple(t *testing.T) {
 		}
 		return texts
 	}
-	es := make([]*plsqlaway.Engine, len(engines))
+	ss := make([]*plsqlaway.Session, len(engines))
 	for i, spec := range engines {
 		var opts []plsqlaway.EngineOption
 		if spec.size > 0 {
 			opts = append(opts, plsqlaway.WithBatchSize(spec.size))
 		}
-		es[i] = newWorkloadEngine(t, opts...)
+		ss[i] = newWorkloadEngine(t, opts...).NewSession()
 	}
 	t.Run("plain-sql", func(t *testing.T) {
 		for i, q := range batchDiffQueries {
-			texts := formatted(t, es, q)
+			texts := formatted(t, ss, q)
 			for j := 1; j < len(texts); j++ {
 				if texts[0] != texts[j] {
 					t.Errorf("query %d diverged:\n%s\n%s:\n%s\n%s:\n%s", i, q, engines[0].label, texts[0], engines[j].label, texts[j])
@@ -356,7 +358,7 @@ func TestDifferentialBatchVsTuple(t *testing.T) {
 	})
 	t.Run("volatile-batch-1", func(t *testing.T) {
 		q := "WITH RECURSIVE g(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM g WHERE i < 200) SELECT i, random() FROM g"
-		texts := formatted(t, es, q)
+		texts := formatted(t, ss, q)
 		for j := 1; j < len(texts); j++ {
 			if texts[0] != texts[j] {
 				t.Errorf("volatile stream diverged:\n%s:\n%s\n%s:\n%s", engines[0].label, texts[0], engines[j].label, texts[j])

@@ -16,7 +16,7 @@ import (
 func main() {
 	// An engine with the SQLite profile: CREATE FUNCTION … plpgsql is
 	// rejected, LATERAL is rejected — PL/SQL simply does not exist here.
-	lite := plsqlaway.NewEngine(plsqlaway.WithProfile(plsqlaway.ProfileSQLite))
+	lite := plsqlaway.NewEngine(plsqlaway.WithProfile(plsqlaway.ProfileSQLite)).NewSession()
 	if err := workload.InstallFSM(lite); err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	// WITH ITERATE vs WITH RECURSIVE: page-write accounting (Table 2 in
 	// miniature).
-	pg := plsqlaway.NewEngine()
+	pg := plsqlaway.NewEngine().NewSession()
 	if err := workload.InstallFSM(pg); err != nil {
 		log.Fatal(err)
 	}
@@ -65,16 +65,21 @@ func main() {
 	big := plsqlaway.Text(workload.MakeParseInput(5000, 5))
 
 	pg.StorageStats().Reset()
-	if _, err := pg.QueryValue("SELECT parse_rec($1)", big); err != nil {
+	vRec, err := pg.QueryValue("SELECT parse_rec($1)", big)
+	if err != nil {
 		log.Fatal(err)
 	}
 	recWrites := pg.StorageStats().PageWrites
 
 	pg.StorageStats().Reset()
-	if _, err := pg.QueryValue("SELECT parse_iter($1)", big); err != nil {
+	vIter, err := pg.QueryValue("SELECT parse_iter($1)", big)
+	if err != nil {
 		log.Fatal(err)
 	}
 	iterWrites := pg.StorageStats().PageWrites
+	if vRec.String() != vIter.String() {
+		log.Fatalf("results differ: WITH RECURSIVE %v vs WITH ITERATE %v", vRec, vIter)
+	}
 
 	fmt.Println("buffer page writes for 5 000 input characters (Table 2 in miniature):")
 	fmt.Printf("  WITH RECURSIVE: %6d pages (the whole tail-recursion trace)\n", recWrites)

@@ -17,18 +17,18 @@ import (
 )
 
 func main() {
-	e := plsqlaway.NewEngine()
-	if err := workload.InstallGraph(e, 2048, 3); err != nil {
+	s := plsqlaway.NewEngine().NewSession()
+	if err := workload.InstallGraph(s, 2048, 3); err != nil {
 		log.Fatal(err)
 	}
-	if err := e.Exec(workload.TraverseSrc); err != nil {
+	if err := s.Exec(workload.TraverseSrc); err != nil {
 		log.Fatal(err)
 	}
 	res, err := plsqlaway.Compile(workload.TraverseSrc, plsqlaway.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := e.Exec("CREATE TABLE probes (start int); INSERT INTO probes SELECT DISTINCT e.src FROM edges AS e WHERE e.src < 64"); err != nil {
+	if err := s.Exec("CREATE TABLE probes (start int); INSERT INTO probes SELECT DISTINCT e.src FROM edges AS e WHERE e.src < 64"); err != nil {
 		log.Fatal(err)
 	}
 
@@ -40,22 +40,22 @@ func main() {
 
 	// Interpreted: one Q→f switch per probe row, three context switches
 	// per hop inside.
-	e.Counters().Reset()
+	s.Counters().Reset()
 	t0 := time.Now()
-	interp, err := e.Query(outerSQL)
+	interp, err := s.Query(outerSQL)
 	if err != nil {
 		log.Fatal(err)
 	}
 	dInterp := time.Since(t0)
-	switches := e.Counters().CtxSwitchQF
-	fq := e.Counters().CtxSwitchFQ
+	switches := s.Counters().CtxSwitchQF
+	fq := s.Counters().CtxSwitchFQ
 
 	// Inlined: every traverse(p.start, 500) call site becomes the compiled
 	// WITH RECURSIVE subquery.
 	inlined := res.Inline(outer)
-	e.Counters().Reset()
+	s.Counters().Reset()
 	t0 = time.Now()
-	comp, err := e.QueryPlanned(inlined)
+	comp, err := s.QueryPlanned(inlined)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,11 +64,14 @@ func main() {
 	fmt.Printf("interpreted: %v  (%v; %d Q→f switches, %d f→Qi switches)\n",
 		interp.Rows[0][0], dInterp.Round(time.Millisecond), switches, fq)
 	fmt.Printf("inlined:     %v  (%v; %d Q→f switches, %d f→Qi switches)\n",
-		comp.Rows[0][0], dComp.Round(time.Millisecond), e.Counters().CtxSwitchQF, e.Counters().CtxSwitchFQ)
-	fmt.Println("\nfirst 160 chars of the inlined query:")
-	s := sqlast.DeparseQuery(inlined)
-	if len(s) > 160 {
-		s = s[:160] + "…"
+		comp.Rows[0][0], dComp.Round(time.Millisecond), s.Counters().CtxSwitchQF, s.Counters().CtxSwitchFQ)
+	if a, b := interp.Rows[0][0], comp.Rows[0][0]; a.String() != b.String() {
+		log.Fatalf("results differ: interpreted %v vs inlined %v", a, b)
 	}
-	fmt.Println(" ", s)
+	fmt.Println("\nfirst 160 chars of the inlined query:")
+	text := sqlast.DeparseQuery(inlined)
+	if len(text) > 160 {
+		text = text[:160] + "…"
+	}
+	fmt.Println(" ", text)
 }

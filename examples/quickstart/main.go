@@ -31,9 +31,10 @@ $$ LANGUAGE plpgsql`
 
 func main() {
 	e := plsqlaway.NewEngine()
+	s := e.NewSession()
 
 	// 1. Register the interpreted original.
-	if err := e.Exec(gcdSrc); err != nil {
+	if err := s.Exec(gcdSrc); err != nil {
 		log.Fatal(err)
 	}
 
@@ -48,19 +49,22 @@ func main() {
 	fmt.Println()
 
 	// 3. Install the compiled twin and compare.
-	if err := plsqlaway.Install(e, "gcd_c", res); err != nil {
+	if err := plsqlaway.Install(s, "gcd_c", res); err != nil {
 		log.Fatal(err)
 	}
-	a, err := e.QueryValue("SELECT gcd($1, $2)", plsqlaway.Int(270), plsqlaway.Int(192))
+	a, err := s.QueryValue("SELECT gcd($1, $2)", plsqlaway.Int(270), plsqlaway.Int(192))
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := e.QueryValue("SELECT gcd_c($1, $2)", plsqlaway.Int(270), plsqlaway.Int(192))
+	b, err := s.QueryValue("SELECT gcd_c($1, $2)", plsqlaway.Int(270), plsqlaway.Int(192))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("interpreted gcd(270, 192) = %v\n", a)
 	fmt.Printf("compiled    gcd(270, 192) = %v\n", b)
+	if a.String() != b.String() {
+		log.Fatalf("results differ: interpreted %v vs compiled %v", a, b)
+	}
 
 	// 4. The intermediate forms are all inspectable.
 	fmt.Println("\n── ANF (the paper's Figure 6 shape) ──")
@@ -84,6 +88,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n── over the wire ──\nremote gcd_c(270, 192) = %v\n", r)
+	if r.String() != a.String() {
+		log.Fatalf("results differ: remote %v vs local %v", r, a)
+	}
 	conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

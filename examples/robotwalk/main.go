@@ -15,13 +15,13 @@ import (
 )
 
 func main() {
-	e := plsqlaway.NewEngine(plsqlaway.WithSeed(7))
+	s := plsqlaway.NewEngine(plsqlaway.WithSeed(7)).NewSession()
 
 	// Build the 5×5 grid world: rewards, straying model, and the policy
 	// computed by value iteration (the paper's "precomputed by a Markov
 	// decision process").
 	world := workload.NewRobotWorld(5, 5, 7)
-	if err := world.Install(e); err != nil {
+	if err := world.Install(s); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("policy (value iteration, γ=0.9):")
@@ -33,14 +33,14 @@ func main() {
 	}
 
 	// Interpreted original + compiled twin.
-	if err := e.Exec(workload.WalkSrc); err != nil {
+	if err := s.Exec(workload.WalkSrc); err != nil {
 		log.Fatal(err)
 	}
 	res, err := plsqlaway.Compile(workload.WalkSrc, plsqlaway.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := plsqlaway.Install(e, "walk_c", res); err != nil {
+	if err := plsqlaway.Install(s, "walk_c", res); err != nil {
 		log.Fatal(err)
 	}
 
@@ -50,15 +50,15 @@ func main() {
 	}
 
 	run := func(label, call string) plsqlaway.Value {
-		e.Seed(42)
-		e.Counters().Reset()
+		s.Seed(42)
+		s.Counters().Reset()
 		t0 := time.Now()
-		v, err := e.QueryValue(call, args...)
+		v, err := s.QueryValue(call, args...)
 		if err != nil {
 			log.Fatal(err)
 		}
 		d := time.Since(t0)
-		c := e.Counters()
+		c := s.Counters()
 		fmt.Printf("%-22s result=%v  time=%v  f→Qi switches=%d  executor starts=%d\n",
 			label, v, d.Round(time.Millisecond), c.CtxSwitchFQ, c.ExecutorStarts)
 		return v

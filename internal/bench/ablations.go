@@ -45,12 +45,12 @@ func AblationDialect(steps int64) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := env.E
+	s := env.S
 	resLite, err := core.Compile(workload.WalkSrc, core.Options{Dialect: udf.DialectSQLite})
 	if err != nil {
 		return nil, err
 	}
-	if err := e.InstallCompiled("walk_lite", resLite.Params, resLite.ReturnType, resLite.Query); err != nil {
+	if err := s.InstallCompiled("walk_lite", resLite.Params, resLite.ReturnType, resLite.Query); err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
@@ -60,8 +60,8 @@ func AblationDialect(steps int64) ([]AblationRow, error) {
 	} {
 		fn := v.fn
 		ms, err := msOf(func() error {
-			e.Seed(42)
-			_, err := e.Query(fmt.Sprintf("SELECT %s(coord(2, 2), $1, $2, $3)", fn),
+			s.Seed(42)
+			_, err := s.Query(fmt.Sprintf("SELECT %s(coord(2, 2), $1, $2, $3)", fn),
 				sqltypes.NewInt(winHuge), sqltypes.NewInt(looseHuge), sqltypes.NewInt(steps))
 			return err
 		})
@@ -83,12 +83,12 @@ func AblationSSAOpt(steps int64) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := env.E
+	s := env.S
 	resRaw, err := core.Compile(workload.WalkSrc, core.Options{NoOptimize: true})
 	if err != nil {
 		return nil, err
 	}
-	if err := e.InstallCompiled("walk_raw", resRaw.Params, resRaw.ReturnType, resRaw.Query); err != nil {
+	if err := s.InstallCompiled("walk_raw", resRaw.Params, resRaw.ReturnType, resRaw.Query); err != nil {
 		return nil, err
 	}
 	resOpt := env.Compiled["walk"]
@@ -102,8 +102,8 @@ func AblationSSAOpt(steps int64) ([]AblationRow, error) {
 	} {
 		fn := v.fn
 		ms, err := msOf(func() error {
-			e.Seed(42)
-			_, err := e.Query(fmt.Sprintf("SELECT %s(coord(2, 2), $1, $2, $3)", fn),
+			s.Seed(42)
+			_, err := s.Query(fmt.Sprintf("SELECT %s(coord(2, 2), $1, $2, $3)", fn),
 				sqltypes.NewInt(winHuge), sqltypes.NewInt(looseHuge), sqltypes.NewInt(steps))
 			return err
 		})
@@ -128,26 +128,26 @@ func AblationFastPath(n int64) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := env.E
-		e.Interp().FastPath = on
+		s := env.S
+		s.Interp().FastPath = on
 		ms, err := msOf(func() error {
-			_, err := e.Query("SELECT fibonacci($1)", sqltypes.NewInt(n))
+			_, err := s.Query("SELECT fibonacci($1)", sqltypes.NewInt(n))
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		e.Counters().Reset()
-		if _, err := e.Query("SELECT fibonacci($1)", sqltypes.NewInt(n)); err != nil {
+		s.Counters().Reset()
+		if _, err := s.Query("SELECT fibonacci($1)", sqltypes.NewInt(n)); err != nil {
 			return nil, err
 		}
-		s, _, en, _ := e.Counters().Breakdown()
+		st, _, en, _ := s.Counters().Breakdown()
 		name := "fast path on"
 		if !on {
 			name = "fast path off"
 		}
 		rows = append(rows, AblationRow{Variant: name, Ms: ms,
-			Note: fmt.Sprintf("Exec·Start %.1f%%, Exec·End %.1f%%", s, en)})
+			Note: fmt.Sprintf("Exec·Start %.1f%%, Exec·End %.1f%%", st, en)})
 	}
 	return rows, nil
 }
@@ -164,11 +164,11 @@ func AblationPlanCache(steps int64) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := env.E
-		e.PlanCache().SetEnabled(on)
+		s := env.S
+		env.E.PlanCache().SetEnabled(on)
 		ms, err := msOf(func() error {
-			e.Seed(42)
-			_, err := e.Query("SELECT walk(coord(2, 2), $1, $2, $3)",
+			s.Seed(42)
+			_, err := s.Query("SELECT walk(coord(2, 2), $1, $2, $3)",
 				sqltypes.NewInt(winHuge), sqltypes.NewInt(looseHuge), sqltypes.NewInt(steps))
 			return err
 		})
@@ -197,7 +197,7 @@ func AblationIterate(steps int64) ([]AblationRow, error) {
 	if err := installTraceKept(env, "walk"); err != nil {
 		return nil, err
 	}
-	e := env.E
+	s := env.S
 	var rows []AblationRow
 	for _, v := range []struct{ name, fn string }{
 		{"WITH RECURSIVE (trace kept)", "walk_ct"},
@@ -205,8 +205,8 @@ func AblationIterate(steps int64) ([]AblationRow, error) {
 	} {
 		fn := v.fn
 		ms, err := msOf(func() error {
-			e.Seed(42)
-			_, err := e.Query(fmt.Sprintf("SELECT %s(coord(2, 2), $1, $2, $3)", fn),
+			s.Seed(42)
+			_, err := s.Query(fmt.Sprintf("SELECT %s(coord(2, 2), $1, $2, $3)", fn),
 				sqltypes.NewInt(winHuge), sqltypes.NewInt(looseHuge), sqltypes.NewInt(steps))
 			return err
 		})

@@ -21,10 +21,11 @@ import (
 	"plsqlaway/internal/workload"
 )
 
-// Env bundles an engine with the compiled variants of the corpus functions
-// the experiments call.
+// Env bundles an engine, the session the experiments run on, and the
+// compiled variants of the corpus functions they call.
 type Env struct {
 	E        *engine.Engine
+	S        *engine.Session
 	Compiled map[string]*core.Result // by function name
 }
 
@@ -39,27 +40,28 @@ const (
 // installed as <name>_c (and <name>_ci for the WITH ITERATE form).
 func NewEnv(prof profile.Profile, fns ...string) (*Env, error) {
 	e := engine.New(engine.WithProfile(prof), engine.WithSeed(42))
+	s := e.NewSession()
 	world := workload.NewRobotWorld(5, 5, 7)
-	if err := world.Install(e); err != nil {
+	if err := world.Install(s); err != nil {
 		return nil, err
 	}
-	if err := workload.InstallFSM(e); err != nil {
+	if err := workload.InstallFSM(s); err != nil {
 		return nil, err
 	}
-	if err := workload.InstallGraph(e, 4096, 3); err != nil {
+	if err := workload.InstallGraph(s, 4096, 3); err != nil {
 		return nil, err
 	}
-	if err := workload.InstallFees(e); err != nil {
+	if err := workload.InstallFees(s); err != nil {
 		return nil, err
 	}
-	env := &Env{E: e, Compiled: map[string]*core.Result{}}
+	env := &Env{E: e, S: s, Compiled: map[string]*core.Result{}}
 	for _, name := range fns {
 		src, ok := workload.Corpus[name]
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown corpus function %q", name)
 		}
 		if prof.AllowPLpgSQL {
-			if err := e.Exec(src); err != nil {
+			if err := s.Exec(src); err != nil {
 				return nil, err
 			}
 		}
@@ -67,14 +69,14 @@ func NewEnv(prof profile.Profile, fns ...string) (*Env, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := e.InstallCompiled(name+"_c", res.Params, res.ReturnType, res.Query); err != nil {
+		if err := s.InstallCompiled(name+"_c", res.Params, res.ReturnType, res.Query); err != nil {
 			return nil, err
 		}
 		resIter, err := core.Compile(src, core.Options{Iterate: true})
 		if err != nil {
 			return nil, err
 		}
-		if err := e.InstallCompiled(name+"_ci", resIter.Params, resIter.ReturnType, resIter.Query); err != nil {
+		if err := s.InstallCompiled(name+"_ci", resIter.Params, resIter.ReturnType, resIter.Query); err != nil {
 			return nil, err
 		}
 		env.Compiled[name] = res
@@ -148,7 +150,7 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := env.E
+	s := env.S
 	input := workload.MakeParseInput(cfg.ParseLen, 11)
 
 	runs := []struct {
@@ -156,37 +158,37 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 		call func() error
 	}{
 		{"walk", func() error {
-			_, err := e.Query("SELECT walk(coord(2, 2), $1, $2, $3)",
+			_, err := s.Query("SELECT walk(coord(2, 2), $1, $2, $3)",
 				sqltypes.NewInt(winHuge), sqltypes.NewInt(looseHuge), sqltypes.NewInt(cfg.WalkSteps))
 			return err
 		}},
 		{"parse", func() error {
-			_, err := e.Query("SELECT parse($1)", sqltypes.NewText(input))
+			_, err := s.Query("SELECT parse($1)", sqltypes.NewText(input))
 			return err
 		}},
 		{"traverse", func() error {
-			_, err := e.Query("SELECT traverse($1, $2)", sqltypes.NewInt(0), sqltypes.NewInt(cfg.TraverseHops))
+			_, err := s.Query("SELECT traverse($1, $2)", sqltypes.NewInt(0), sqltypes.NewInt(cfg.TraverseHops))
 			return err
 		}},
 		{"fibonacci", func() error {
-			_, err := e.Query("SELECT fibonacci($1)", sqltypes.NewInt(cfg.FibN))
+			_, err := s.Query("SELECT fibonacci($1)", sqltypes.NewInt(cfg.FibN))
 			return err
 		}},
 	}
 	var rows []Table1Row
 	for _, r := range runs {
-		e.Seed(42)
+		s.Seed(42)
 		if err := r.call(); err != nil { // warm plan caches
 			return nil, fmt.Errorf("bench: %s: %w", r.name, err)
 		}
-		e.Counters().Reset()
-		e.Seed(42)
+		s.Counters().Reset()
+		s.Seed(42)
 		if err := r.call(); err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", r.name, err)
 		}
-		s, ru, en, in := e.Counters().Breakdown()
-		rows = append(rows, Table1Row{Name: r.name, Start: s, Run: ru, End: en, Interp: in,
-			FtoQSwitches: e.Counters().CtxSwitchFQ})
+		st, ru, en, in := s.Counters().Breakdown()
+		rows = append(rows, Table1Row{Name: r.name, Start: st, Run: ru, End: en, Interp: in,
+			FtoQSwitches: s.Counters().CtxSwitchFQ})
 	}
 	return rows, nil
 }
@@ -222,20 +224,20 @@ func Figure10(cfg Fig10Config) ([]Fig10Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := env.E
+	s := env.S
 	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 	var out []Fig10Point
 	for _, steps := range cfg.Steps {
 		callPL := func() error {
-			e.Seed(42)
-			_, err := e.Query("SELECT walk(coord(2, 2), $1, $2, $3)",
+			s.Seed(42)
+			_, err := s.Query("SELECT walk(coord(2, 2), $1, $2, $3)",
 				sqltypes.NewInt(winHuge), sqltypes.NewInt(looseHuge), sqltypes.NewInt(steps))
 			return err
 		}
 		callRec := func() error {
-			e.Seed(42)
-			_, err := e.Query("SELECT walk_c(coord(2, 2), $1, $2, $3)",
+			s.Seed(42)
+			_, err := s.Query("SELECT walk_c(coord(2, 2), $1, $2, $3)",
 				sqltypes.NewInt(winHuge), sqltypes.NewInt(looseHuge), sqltypes.NewInt(steps))
 			return err
 		}
@@ -308,11 +310,11 @@ func Figure11(cfg Fig11Config) (*HeatMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := env.E
+	s := env.S
 	res := env.Compiled[cfg.Fn]
 
 	// A pool of call sites for Q→f invocations.
-	if err := e.Exec("CREATE TABLE starts (o coord, s int)"); err != nil {
+	if err := s.Exec("CREATE TABLE starts (o coord, s int)"); err != nil {
 		return nil, err
 	}
 	{
@@ -326,7 +328,7 @@ func Figure11(cfg Fig11Config) (*HeatMap, error) {
 				hi = len(rows)
 			}
 			stmt := "INSERT INTO starts VALUES " + strings.Join(rows[lo:hi], ", ")
-			if err := e.Exec(stmt); err != nil {
+			if err := s.Exec(stmt); err != nil {
 				return nil, err
 			}
 		}
@@ -336,7 +338,7 @@ func Figure11(cfg Fig11Config) (*HeatMap, error) {
 
 	// Warm both paths once so the first cell does not absorb cold-start
 	// costs (statement compilation, interpreter caches).
-	if _, err := fig11Cell(e, res, cfg, 1, 1, parseInput); err != nil {
+	if _, err := fig11Cell(s, res, cfg, 1, 1, parseInput); err != nil {
 		return nil, err
 	}
 
@@ -345,7 +347,7 @@ func Figure11(cfg Fig11Config) (*HeatMap, error) {
 	for _, inv := range cfg.Invocations {
 		var row []float64
 		for _, iter := range cfg.Iterations {
-			cell, err := fig11Cell(e, res, cfg, inv, iter, parseInput)
+			cell, err := fig11Cell(s, res, cfg, inv, iter, parseInput)
 			if err != nil {
 				return nil, err
 			}
@@ -358,7 +360,7 @@ func Figure11(cfg Fig11Config) (*HeatMap, error) {
 
 // fig11Cell measures one (invocations, iterations) grid point and returns
 // 100·rec/interp, or -1 when the profile's timer cannot resolve it.
-func fig11Cell(e *engine.Engine, res *core.Result, cfg Fig11Config, inv, iter int64, parseInput string) (float64, error) {
+func fig11Cell(s *engine.Session, res *core.Result, cfg Fig11Config, inv, iter int64, parseInput string) (float64, error) {
 	var callSQL string
 	switch cfg.Fn {
 	case "walk":
@@ -389,9 +391,9 @@ func fig11Cell(e *engine.Engine, res *core.Result, cfg Fig11Config, inv, iter in
 		var best time.Duration
 		var val sqltypes.Value
 		for i := 0; i < 2; i++ {
-			e.Seed(1234)
+			s.Seed(1234)
 			t0 := time.Now()
-			r, err := e.QueryFresh(target, params...)
+			r, err := s.QueryFresh(target, params...)
 			d := time.Since(t0)
 			if err != nil {
 				return 0, sqltypes.Null, err
@@ -454,7 +456,7 @@ func traceKept(q *sqlast.Query) *sqlast.Query {
 // installTraceKept installs name_ct: name_c with its trace kept.
 func installTraceKept(env *Env, name string) error {
 	res := env.Compiled[name]
-	return env.E.InstallCompiled(name+"_ct", res.Params, res.ReturnType, traceKept(res.Query))
+	return env.S.InstallCompiled(name+"_ct", res.Params, res.ReturnType, traceKept(res.Query))
 }
 
 // Table2 runs compiled parse() on growing inputs and counts buffer page
@@ -473,14 +475,14 @@ func Table2(lengths []int) ([]Table2Row, error) {
 	if err := installTraceKept(env, "parse"); err != nil {
 		return nil, err
 	}
-	e := env.E
+	s := env.S
 	var rows []Table2Row
 	for _, n := range lengths {
 		input := sqltypes.NewText(workload.MakeParseInput(n, 11))
 		writes := func(fn string) (int64, error) {
-			e.StorageStats().Reset()
-			_, err := e.Query("SELECT "+fn+"($1)", input)
-			return e.StorageStats().PageWrites, err
+			s.StorageStats().Reset()
+			_, err := s.Query("SELECT "+fn+"($1)", input)
+			return s.StorageStats().PageWrites, err
 		}
 		row := Table2Row{Iterations: n}
 		if row.IterateWrites, err = writes("parse_ci"); err != nil {

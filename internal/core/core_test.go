@@ -19,17 +19,18 @@ func sqlparserParse(sql string) (*sqlast.Query, error) { return sqlparser.ParseQ
 func newWorldEngine(t *testing.T) *engine.Engine {
 	t.Helper()
 	e := engine.New(engine.WithSeed(42))
+	s := e.NewSession()
 	world := workload.NewRobotWorld(5, 5, 7)
-	if err := world.Install(e); err != nil {
+	if err := world.Install(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.InstallFSM(e); err != nil {
+	if err := workload.InstallFSM(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.InstallGraph(e, 512, 3); err != nil {
+	if err := workload.InstallGraph(s, 512, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.InstallFees(e); err != nil {
+	if err := workload.InstallFees(s); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -37,31 +38,31 @@ func newWorldEngine(t *testing.T) *engine.Engine {
 
 // install registers the interpreted original and the compiled variant under
 // <name>_c.
-func install(t *testing.T, e *engine.Engine, src string, opt Options) *Result {
+func install(t *testing.T, s *engine.Session, src string, opt Options) *Result {
 	t.Helper()
-	if err := e.Exec(src); err != nil {
+	if err := s.Exec(src); err != nil {
 		t.Fatalf("install interpreted: %v", err)
 	}
 	res, err := Compile(src, opt)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if err := e.InstallCompiled(res.Function.Name+"_c", res.Params, res.ReturnType, res.Query); err != nil {
+	if err := s.InstallCompiled(res.Function.Name+"_c", res.Params, res.ReturnType, res.Query); err != nil {
 		t.Fatalf("install compiled: %v", err)
 	}
 	return res
 }
 
 // differential runs both variants with identical seeds and compares.
-func differential(t *testing.T, e *engine.Engine, name, call string, args ...sqltypes.Value) {
+func differential(t *testing.T, s *engine.Session, name, call string, args ...sqltypes.Value) {
 	t.Helper()
-	e.Seed(99)
-	want, err := e.QueryValue(fmt.Sprintf(call, name), args...)
+	s.Seed(99)
+	want, err := s.QueryValue(fmt.Sprintf(call, name), args...)
 	if err != nil {
 		t.Fatalf("%s interpreted: %v", name, err)
 	}
-	e.Seed(99)
-	got, err := e.QueryValue(fmt.Sprintf(call, name+"_c"), args...)
+	s.Seed(99)
+	got, err := s.QueryValue(fmt.Sprintf(call, name+"_c"), args...)
 	if err != nil {
 		t.Fatalf("%s compiled: %v", name, err)
 	}
@@ -71,10 +72,10 @@ func differential(t *testing.T, e *engine.Engine, name, call string, args ...sql
 }
 
 func TestCompileFibDifferential(t *testing.T) {
-	e := engine.New()
-	install(t, e, workload.FibSrc, Options{})
+	s := engine.New().NewSession()
+	install(t, s, workload.FibSrc, Options{})
 	for _, n := range []int64{0, 1, 2, 3, 10, 20, 40} {
-		differential(t, e, "fibonacci", "SELECT %s($1)", sqltypes.NewInt(n))
+		differential(t, s, "fibonacci", "SELECT %s($1)", sqltypes.NewInt(n))
 	}
 }
 
@@ -113,34 +114,34 @@ func TestCompileCorpusDifferential(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			e := engine.New()
-			install(t, e, c.src, Options{})
+			s := engine.New().NewSession()
+			install(t, s, c.src, Options{})
 			for _, args := range c.calls {
-				differential(t, e, c.name, c.tmpl, args...)
+				differential(t, s, c.name, c.tmpl, args...)
 			}
 		})
 	}
 }
 
 func TestCompileQueryBearingCorpus(t *testing.T) {
-	e := newWorldEngine(t)
-	install(t, e, workload.ParseSrc, Options{})
-	install(t, e, workload.TraverseSrc, Options{})
-	install(t, e, workload.AccountSrc, Options{})
+	s := newWorldEngine(t).NewSession()
+	install(t, s, workload.ParseSrc, Options{})
+	install(t, s, workload.TraverseSrc, Options{})
+	install(t, s, workload.AccountSrc, Options{})
 
 	for _, input := range []string{"", "abc", "a1 22 bcd", workload.MakeParseInput(200, 5)} {
-		differential(t, e, "parse", "SELECT %s($1)", sqltypes.NewText(input))
+		differential(t, s, "parse", "SELECT %s($1)", sqltypes.NewText(input))
 	}
 	for _, start := range []int64{0, 3, 42} {
-		differential(t, e, "traverse", "SELECT %s($1, $2)", sqltypes.NewInt(start), sqltypes.NewInt(300))
+		differential(t, s, "traverse", "SELECT %s($1, $2)", sqltypes.NewInt(start), sqltypes.NewInt(300))
 	}
-	differential(t, e, "balance", "SELECT %s($1, $2)", sqltypes.NewFloat(500), sqltypes.NewInt(24))
-	differential(t, e, "balance", "SELECT %s($1, $2)", sqltypes.NewFloat(5000), sqltypes.NewInt(60))
+	differential(t, s, "balance", "SELECT %s($1, $2)", sqltypes.NewFloat(500), sqltypes.NewInt(24))
+	differential(t, s, "balance", "SELECT %s($1, $2)", sqltypes.NewFloat(5000), sqltypes.NewInt(60))
 }
 
 func TestCompileWalkDifferential(t *testing.T) {
-	e := newWorldEngine(t)
-	res := install(t, e, workload.WalkSrc, Options{})
+	s := newWorldEngine(t).NewSession()
+	res := install(t, s, workload.WalkSrc, Options{})
 	if len(res.ANF.Funs) > 3 {
 		t.Errorf("walk should collapse to ~2 label functions (paper's L1/L2), got %d:\n%s",
 			len(res.ANF.Funs), res.ANF.Dump())
@@ -151,7 +152,7 @@ func TestCompileWalkDifferential(t *testing.T) {
 		{4, 4, 10, -10, 200},
 		{1, 3, 2, -8, 500},
 	} {
-		differential(t, e, "walk", "SELECT %s($1, $2, $3, $4)",
+		differential(t, s, "walk", "SELECT %s($1, $2, $3, $4)",
 			sqltypes.NewCoord(c.x, c.y), sqltypes.NewInt(c.win), sqltypes.NewInt(c.loose), sqltypes.NewInt(c.steps))
 	}
 }
@@ -167,21 +168,21 @@ func TestCompileWalkIterateAndSQLiteDialects(t *testing.T) {
 		{"unoptimized", Options{NoOptimize: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			e := newWorldEngine(t)
-			if err := e.Exec(workload.WalkSrc); err != nil {
+			s := newWorldEngine(t).NewSession()
+			if err := s.Exec(workload.WalkSrc); err != nil {
 				t.Fatal(err)
 			}
 			res, err := Compile(workload.WalkSrc, mode.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.InstallCompiled("walk_c", res.Params, res.ReturnType, res.Query); err != nil {
+			if err := s.InstallCompiled("walk_c", res.Params, res.ReturnType, res.Query); err != nil {
 				t.Fatal(err)
 			}
 			if mode.opt.Dialect == udf.DialectSQLite && strings.Contains(res.SQL, "LATERAL") {
 				t.Errorf("sqlite dialect must not emit LATERAL:\n%s", res.SQL)
 			}
-			differential(t, e, "walk", "SELECT %s($1, $2, $3, $4)",
+			differential(t, s, "walk", "SELECT %s($1, $2, $3, $4)",
 				sqltypes.NewCoord(2, 2), sqltypes.NewInt(4), sqltypes.NewInt(-4), sqltypes.NewInt(100))
 		})
 	}
@@ -196,9 +197,9 @@ func TestLoopLessCompilesWithoutCTE(t *testing.T) {
 		t.Errorf("loop-less function should compile Froid-style:\n%s", res.SQL)
 	}
 	// ForceCTE still must give correct results.
-	e := engine.New()
-	install(t, e, workload.ClampSrc, Options{ForceCTE: true})
-	differential(t, e, "clamp", "SELECT %s($1, $2, $3)",
+	s := engine.New().NewSession()
+	install(t, s, workload.ClampSrc, Options{ForceCTE: true})
+	differential(t, s, "clamp", "SELECT %s($1, $2, $3)",
 		sqltypes.NewInt(7), sqltypes.NewInt(0), sqltypes.NewInt(5))
 }
 
@@ -220,9 +221,9 @@ func enginedParse(sql string) (*sqlast.Query, error) {
 }
 
 func TestInlineCall(t *testing.T) {
-	e := engine.New()
-	res := install(t, e, workload.GcdSrc, Options{})
-	if err := e.Exec(`CREATE TABLE pairs (x int, y int);
+	s := engine.New().NewSession()
+	res := install(t, s, workload.GcdSrc, Options{})
+	if err := s.Exec(`CREATE TABLE pairs (x int, y int);
 		INSERT INTO pairs VALUES (48, 36), (7, 13), (100, 75)`); err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +235,11 @@ func TestInlineCall(t *testing.T) {
 	if strings.Contains(sqlast.DeparseQuery(inlined), "gcd(") {
 		t.Fatalf("call site not inlined:\n%s", sqlast.DeparseQuery(inlined))
 	}
-	got, err := e.QueryPlanned(inlined)
+	got, err := s.QueryPlanned(inlined)
 	if err != nil {
 		t.Fatalf("inlined query: %v", err)
 	}
-	want, err := e.Query("SELECT gcd(p.x, p.y) FROM pairs AS p ORDER BY 1")
+	want, err := s.Query("SELECT gcd(p.x, p.y) FROM pairs AS p ORDER BY 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestUDFStatementsInstallAndRun(t *testing.T) {
 	// The Figure 7 route: install wrapper + tail-recursive f_star as
 	// LANGUAGE sql functions and evaluate directly (works, but the paper
 	// notes stack limits and poor performance — we check the small case).
-	e := engine.New()
+	s := engine.New().NewSession()
 	res, err := Compile(workload.GcdSrc, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -265,10 +266,10 @@ func TestUDFStatementsInstallAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Exec(sql); err != nil {
+	if err := s.Exec(sql); err != nil {
 		t.Fatalf("installing UDFs: %v\n%s", err, sql)
 	}
-	v, err := e.QueryValue("SELECT gcd($1, $2)", sqltypes.NewInt(48), sqltypes.NewInt(36))
+	v, err := s.QueryValue("SELECT gcd($1, $2)", sqltypes.NewInt(48), sqltypes.NewInt(36))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +286,10 @@ func TestUDFStatementsInstallAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Exec(sqlF); err != nil {
+	if err := s.Exec(sqlF); err != nil {
 		t.Fatalf("installing fib UDFs: %v", err)
 	}
-	_, err = e.QueryValue("SELECT fibonacci($1)", sqltypes.NewInt(10000))
+	_, err = s.QueryValue("SELECT fibonacci($1)", sqltypes.NewInt(10000))
 	if err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Errorf("expected stack depth error from recursive UDF, got %v", err)
 	}

@@ -146,31 +146,31 @@ func TestRandomProgramsDifferential(t *testing.T) {
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		src := generateProgram(seed)
-		e := engine.New()
-		if err := e.Exec(src); err != nil {
+		s := engine.New().NewSession()
+		if err := s.Exec(src); err != nil {
 			t.Fatalf("seed %d: install: %v\n%s", seed, err, src)
 		}
 		res, err := Compile(src, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v\n%s", seed, err, src)
 		}
-		if err := e.InstallCompiled("prog_c", res.Params, res.ReturnType, res.Query); err != nil {
+		if err := s.InstallCompiled("prog_c", res.Params, res.ReturnType, res.Query); err != nil {
 			t.Fatalf("seed %d: install compiled: %v", seed, err)
 		}
 		resIter, err := Compile(src, Options{Iterate: true})
 		if err != nil {
 			t.Fatalf("seed %d: compile iterate: %v", seed, err)
 		}
-		if err := e.InstallCompiled("prog_i", resIter.Params, resIter.ReturnType, resIter.Query); err != nil {
+		if err := s.InstallCompiled("prog_i", resIter.Params, resIter.ReturnType, resIter.Query); err != nil {
 			t.Fatalf("seed %d: install iterate: %v", seed, err)
 		}
 		for _, args := range [][2]int64{{0, 0}, {1, -1}, {5, 3}, {-7, 11}} {
 			p1, p2 := sqltypes.NewInt(args[0]), sqltypes.NewInt(args[1])
-			want, err := e.QueryValue("SELECT prog($1, $2)", p1, p2)
+			want, err := s.QueryValue("SELECT prog($1, $2)", p1, p2)
 			if err != nil {
 				t.Fatalf("seed %d args %v: interpreted: %v\n%s", seed, args, err, src)
 			}
-			got, err := e.QueryValue("SELECT prog_c($1, $2)", p1, p2)
+			got, err := s.QueryValue("SELECT prog_c($1, $2)", p1, p2)
 			if err != nil {
 				t.Fatalf("seed %d args %v: compiled: %v\n%s\n%s", seed, args, err, src, res.SQL)
 			}
@@ -178,7 +178,7 @@ func TestRandomProgramsDifferential(t *testing.T) {
 				t.Fatalf("seed %d args %v: interpreted=%v compiled=%v\n%s\n%s",
 					seed, args, want, got, src, res.SQL)
 			}
-			gotIter, err := e.QueryValue("SELECT prog_i($1, $2)", p1, p2)
+			gotIter, err := s.QueryValue("SELECT prog_i($1, $2)", p1, p2)
 			if err != nil {
 				t.Fatalf("seed %d args %v: iterate: %v", seed, args, err)
 			}

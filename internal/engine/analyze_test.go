@@ -37,9 +37,9 @@ func stripAnalyzeTimes(s string) string {
 // build side (policy, 4 rows) and probe side (seq, 30 rows) both carry
 // actuals, and the Filter-less tree reports rows flowing bottom-up.
 func TestExplainAnalyzeGoldenInlined(t *testing.T) {
-	e := newInlineTestEngine(t)
-	installCompiledLookup(t, e, testActionOf)
-	got := stripAnalyzeTimes(renderRows(t, e, "EXPLAIN ANALYZE SELECT count(action_of(coord(n % 2, n % 2))) FROM seq"))
+	s := newInlineTestEngine(t).NewSession()
+	installCompiledLookup(t, s, testActionOf)
+	got := stripAnalyzeTimes(renderRows(t, s, "EXPLAIN ANALYZE SELECT count(action_of(coord(n % 2, n % 2))) FROM seq"))
 	want := strings.TrimLeft(`
 Plan (nodes=6 inlined=1 specialized=0 looped=0)
 Project [#0]  (actual rows=1 batches=1)
@@ -60,11 +60,11 @@ Execution: rows=1 time=X
 // scan — and the actuals expose the per-row batch clamp (30 single-row
 // batches where the inlined plan moved all 30 rows in one).
 func TestExplainAnalyzeGoldenOpaque(t *testing.T) {
-	e := newInlineTestEngine(t)
-	installCompiledLookup(t, e, testActionOf)
-	e.SetInlining(false)
-	defer e.SetInlining(true)
-	got := stripAnalyzeTimes(renderRows(t, e, "EXPLAIN ANALYZE SELECT count(action_of(coord(n % 2, n % 2))) FROM seq"))
+	s := newInlineTestEngine(t).NewSession()
+	installCompiledLookup(t, s, testActionOf)
+	s.SetInlining(false)
+	defer s.SetInlining(true)
+	got := stripAnalyzeTimes(renderRows(t, s, "EXPLAIN ANALYZE SELECT count(action_of(coord(n % 2, n % 2))) FROM seq"))
 	want := strings.TrimLeft(`
 Plan (nodes=3 inlined=0 specialized=0 looped=0)
 Project [#0]  (actual rows=1 batches=1)
@@ -81,8 +81,8 @@ Execution: rows=1 time=X
 // field: rows in from the child vs rows out, the selection-vector
 // survival rate.
 func TestExplainAnalyzeFilterSurvival(t *testing.T) {
-	e := newInlineTestEngine(t)
-	got := stripAnalyzeTimes(renderRows(t, e, "EXPLAIN ANALYZE SELECT n FROM seq WHERE n % 3 = 0"))
+	s := newInlineTestEngine(t).NewSession()
+	got := stripAnalyzeTimes(renderRows(t, s, "EXPLAIN ANALYZE SELECT n FROM seq WHERE n % 3 = 0"))
 	if !strings.Contains(got, "(actual rows=10 batches=1 in=30)") {
 		t.Errorf("filter annotation should report 10 survivors of 30 inputs:\n%s", got)
 	}
@@ -93,8 +93,8 @@ func TestExplainAnalyzeFilterSurvival(t *testing.T) {
 // untouched nodes marked instead of showing zero actuals. An Append
 // whose second arm is never pulled is the canonical shape.
 func TestExplainAnalyzeNeverExecuted(t *testing.T) {
-	e := newInlineTestEngine(t)
-	out := renderRows(t, e, "EXPLAIN ANALYZE SELECT n FROM seq UNION ALL SELECT n FROM seq LIMIT 3")
+	s := newInlineTestEngine(t).NewSession()
+	out := renderRows(t, s, "EXPLAIN ANALYZE SELECT n FROM seq UNION ALL SELECT n FROM seq LIMIT 3")
 	if !strings.Contains(out, "(never executed)") {
 		t.Errorf("expected a (never executed) node under a satisfied LIMIT:\n%s", out)
 	}
@@ -106,16 +106,16 @@ func TestExplainAnalyzeNeverExecuted(t *testing.T) {
 // run would — so a volatile query after EXPLAIN ANALYZE q draws the
 // same values as after SELECT q.
 func TestExplainAnalyzeDifferential(t *testing.T) {
-	mk := func() *Engine {
-		e := newInlineTestEngine(t)
-		if err := e.Exec("CREATE FUNCTION noisy(a int) RETURNS float AS $$ SELECT random() + a $$ LANGUAGE sql"); err != nil {
+	mk := func() *Session {
+		s := newInlineTestEngine(t).NewSession()
+		if err := s.Exec("CREATE FUNCTION noisy(a int) RETURNS float AS $$ SELECT random() + a $$ LANGUAGE sql"); err != nil {
 			t.Fatal(err)
 		}
-		return e
+		return s
 	}
 	q := "SELECT noisy(n) FROM seq WHERE n <= 5"
 
-	// Engine A: EXPLAIN ANALYZE q, then q. Engine B: q, then q.
+	// Session A: EXPLAIN ANALYZE q, then q. Session B: q, then q.
 	a, b := mk(), mk()
 	if _, err := a.Query("SELECT setseed(0.7)"); err != nil {
 		t.Fatal(err)
@@ -155,8 +155,8 @@ func TestExplainAnalyzeDifferential(t *testing.T) {
 // TestExplainAnalyzeParams pins parameter handling: ANALYZE executes for
 // real, so a parameterized query needs its arguments.
 func TestExplainAnalyzeParams(t *testing.T) {
-	e := newInlineTestEngine(t)
-	p, err := e.NewSession().Prepare("EXPLAIN ANALYZE SELECT n FROM seq WHERE n > $1")
+	s := newInlineTestEngine(t).NewSession()
+	p, err := s.Prepare("EXPLAIN ANALYZE SELECT n FROM seq WHERE n > $1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestExplainAnalyzeParams(t *testing.T) {
 	if !strings.Contains(out, "rows=5") {
 		t.Errorf("parameterized ANALYZE should see 5 qualifying rows:\n%s", out)
 	}
-	if _, err := e.Query("EXPLAIN ANALYZE SELECT n FROM seq WHERE n > $1"); err == nil {
+	if _, err := s.Query("EXPLAIN ANALYZE SELECT n FROM seq WHERE n > $1"); err == nil {
 		t.Error("ANALYZE without required params should fail")
 	}
 }
@@ -182,18 +182,19 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 	if e.Metrics() != reg {
 		t.Fatal("Engine.Metrics should expose the configured registry")
 	}
-	if err := e.Exec("CREATE TABLE kv (k int, v int)"); err != nil {
+	s := e.NewSession()
+	if err := s.Exec("CREATE TABLE kv (k int, v int)"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := e.Exec(fmt.Sprintf("INSERT INTO kv VALUES (%d, %d)", i, i*i)); err != nil {
+		if err := s.Exec(fmt.Sprintf("INSERT INTO kv VALUES (%d, %d)", i, i*i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Query("SELECT sum(v) FROM kv"); err != nil {
+	if _, err := s.Query("SELECT sum(v) FROM kv"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("SELECT sum(v) FROM kv"); err != nil { // cache hit
+	if _, err := s.Query("SELECT sum(v) FROM kv"); err != nil { // cache hit
 		t.Fatal(err)
 	}
 
@@ -221,9 +222,9 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 	value := func(name string) float64 {
 		for _, m := range reg.Gather() {
 			if m.Name == name {
-				for _, s := range m.Samples {
-					if s.Value != nil {
-						return *s.Value
+				for _, smp := range m.Samples {
+					if smp.Value != nil {
+						return *smp.Value
 					}
 				}
 			}
@@ -239,6 +240,11 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 	if v := value("plsql_plan_cache_hits_total"); v < 1 {
 		t.Errorf("cache_hits_total = %v, want ≥ 1", v)
 	}
+	// Exactly the sessions this test opened: the engine keeps none of
+	// its own.
+	if v := value("plsql_engine_sessions_total"); v != 1 {
+		t.Errorf("sessions_total = %v, want 1", v)
+	}
 }
 
 // TestMetricsConcurrentSessions hammers one shared registry from many
@@ -246,7 +252,7 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 func TestMetricsConcurrentSessions(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(WithSeed(42), WithMetricsRegistry(reg), WithSlowQuery(time.Nanosecond, func(string, ...any) {}))
-	if err := e.Exec("CREATE TABLE nums (n int); INSERT INTO nums VALUES (1), (2), (3)"); err != nil {
+	if err := e.NewSession().Exec("CREATE TABLE nums (n int); INSERT INTO nums VALUES (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
 	const sessions = 8
@@ -305,11 +311,11 @@ func TestSlowQueryLog(t *testing.T) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
-	e := New(WithSeed(42), WithSlowQuery(time.Nanosecond, logf))
-	if err := e.Exec("CREATE TABLE t (n int); INSERT INTO t VALUES (1)"); err != nil {
+	s := New(WithSeed(42), WithSlowQuery(time.Nanosecond, logf)).NewSession()
+	if err := s.Exec("CREATE TABLE t (n int); INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("SELECT n FROM t"); err != nil {
+	if _, err := s.Query("SELECT n FROM t"); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -327,7 +333,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// Above-threshold only: a high threshold logs nothing.
 	lines = nil
-	quiet := New(WithSeed(42), WithSlowQuery(time.Hour, logf))
+	quiet := New(WithSeed(42), WithSlowQuery(time.Hour, logf)).NewSession()
 	if err := quiet.Exec("CREATE TABLE t (n int)"); err != nil {
 		t.Fatal(err)
 	}
@@ -343,12 +349,13 @@ func TestAutoCheckpointBySize(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	e := openT(t, dir, WithSeed(42), WithCheckpointBytes(1024), WithMetricsRegistry(reg))
-	if err := e.Exec("CREATE TABLE t (n int, pad text)"); err != nil {
+	s := e.NewSession()
+	if err := s.Exec("CREATE TABLE t (n int, pad text)"); err != nil {
 		t.Fatal(err)
 	}
 	pad := strings.Repeat("x", 128)
 	for i := 0; i < 64; i++ {
-		if err := e.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i, pad)); err != nil {
+		if err := s.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i, pad)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,9 +365,9 @@ func TestAutoCheckpointBySize(t *testing.T) {
 	var sized float64
 	for _, m := range reg.Gather() {
 		if m.Name == "plsql_checkpoints_triggered_total" {
-			for _, s := range m.Samples {
-				if s.Label == "size" {
-					sized = *s.Value
+			for _, smp := range m.Samples {
+				if smp.Label == "size" {
+					sized = *smp.Value
 				}
 			}
 		}
@@ -372,8 +379,9 @@ func TestAutoCheckpointBySize(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := openT(t, dir)
+	s2 := e2.NewSession()
 	defer e2.Close()
-	if got := queryInt(t, e2, "SELECT count(*) FROM t"); got != 64 {
+	if got := queryInt(t, s2, "SELECT count(*) FROM t"); got != 64 {
 		t.Errorf("after auto-checkpointed run: count(*) = %d, want 64", got)
 	}
 }

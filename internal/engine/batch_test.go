@@ -26,27 +26,28 @@ var batchGrid = []int{1, 2, 3, 5, 1024}
 func newBatchTestEngine(t *testing.T, batchSize int) *Engine {
 	t.Helper()
 	e := New(WithSeed(42), WithBatchSize(batchSize))
+	s := e.NewSession()
 	script := `
 CREATE TABLE seq (n int);
 CREATE TABLE a (x int, tag text);
 CREATE TABLE b (y int, lbl text);
 CREATE TABLE empty (z int);
 `
-	if err := e.Exec(script); err != nil {
+	if err := s.Exec(script); err != nil {
 		t.Fatal(err)
 	}
 	var rows []string
 	for i := 1; i <= 10; i++ {
 		rows = append(rows, "("+sqltypes.NewInt(int64(i)).String()+")")
 	}
-	if err := e.Exec("INSERT INTO seq VALUES " + strings.Join(rows, ", ")); err != nil {
+	if err := s.Exec("INSERT INTO seq VALUES " + strings.Join(rows, ", ")); err != nil {
 		t.Fatal(err)
 	}
 	// a: duplicates and a NULL key; b: duplicates and NULLs too.
-	if err := e.Exec(`INSERT INTO a VALUES (1, 'a1'), (2, 'a2'), (2, 'a2bis'), (NULL, 'anull'), (5, 'a5')`); err != nil {
+	if err := s.Exec(`INSERT INTO a VALUES (1, 'a1'), (2, 'a2'), (2, 'a2bis'), (NULL, 'anull'), (5, 'a5')`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Exec(`INSERT INTO b VALUES (2, 'b2'), (2, 'b2bis'), (NULL, 'bnull'), (3, 'b3')`); err != nil {
+	if err := s.Exec(`INSERT INTO b VALUES (2, 'b2'), (2, 'b2bis'), (NULL, 'bnull'), (3, 'b3')`); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -93,15 +94,15 @@ var batchEdgeQueries = []struct {
 }
 
 func TestBatchBoundaryEdgeCases(t *testing.T) {
-	engines := make(map[int]*Engine, len(batchGrid))
+	sessions := make(map[int]*Session, len(batchGrid))
 	for _, bs := range batchGrid {
-		engines[bs] = newBatchTestEngine(t, bs)
+		sessions[bs] = newBatchTestEngine(t, bs).NewSession()
 	}
 	for _, q := range batchEdgeQueries {
 		t.Run(q.name, func(t *testing.T) {
-			want := rowsOf(t, engines[batchGrid[0]], q.sql)
+			want := rowsOf(t, sessions[batchGrid[0]], q.sql)
 			for _, bs := range batchGrid[1:] {
-				got := rowsOf(t, engines[bs], q.sql)
+				got := rowsOf(t, sessions[bs], q.sql)
 				if got != want {
 					t.Errorf("batch size %d: %q\n  batch=%d: %s\n  batch=%d: %s",
 						bs, q.sql, batchGrid[0], want, bs, got)
@@ -360,19 +361,18 @@ func TestHashJoinPlanShapes(t *testing.T) {
 // image, and the residual re-checks exactness, so the hash plan must agree
 // with the pinned nest-loop plan on every large-numeric edge.
 func TestHashJoinLargeNumericKeys(t *testing.T) {
-	e := New(WithSeed(42), WithBatchSize(4))
-	if err := e.Exec(`CREATE TABLE ci (x int); CREATE TABLE cf (y float)`); err != nil {
+	s := New(WithSeed(42), WithBatchSize(4)).NewSession()
+	if err := s.Exec(`CREATE TABLE ci (x int); CREATE TABLE cf (y float)`); err != nil {
 		t.Fatal(err)
 	}
 	// 10^16 (> 2^53): int and float images coincide. 2^53 and 2^53+1: two
 	// ints sharing one float image — bucket-mates the residual must split.
-	if err := e.Exec(`INSERT INTO ci VALUES (10000000000000000), (9007199254740992), (9007199254740993), (7)`); err != nil {
+	if err := s.Exec(`INSERT INTO ci VALUES (10000000000000000), (9007199254740992), (9007199254740993), (7)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Exec(`INSERT INTO cf VALUES (1e16), (9007199254740992.0), (7.0), (0.5)`); err != nil {
+	if err := s.Exec(`INSERT INTO cf VALUES (1e16), (9007199254740992.0), (7.0), (0.5)`); err != nil {
 		t.Fatal(err)
 	}
-	s := e.NewSession()
 	for _, sql := range []string{
 		"SELECT ci.x, cf.y FROM ci, cf WHERE ci.x = cf.y ORDER BY 1, 2",
 		"SELECT a.x, b.x FROM ci AS a, ci AS b WHERE a.x = b.x ORDER BY 1, 2",
@@ -424,20 +424,20 @@ func TestHashJoinLargeNumericKeys(t *testing.T) {
 func TestVolatileDrawOrderAcrossBatchSizes(t *testing.T) {
 	results := map[string][]string{}
 	for _, bs := range []int{1, 3, 1024} {
-		e := newBatchTestEngine(t, bs)
+		s := newBatchTestEngine(t, bs).NewSession()
 		// Column transposition: two random() columns over several rows.
-		e.Seed(7)
-		multi := rowsOf(t, e, "SELECT n, random(), random() FROM seq ORDER BY n")
+		s.Seed(7)
+		multi := rowsOf(t, s, "SELECT n, random(), random() FROM seq ORDER BY n")
 		// Over-pull: a volatile subquery under a join cut by LIMIT, then
 		// the very next draw must continue from the same stream position.
-		e.Seed(7)
-		cut := rowsOf(t, e, "SELECT s.r FROM (SELECT random() AS r FROM seq) AS s, b LIMIT 1")
-		after := rowsOf(t, e, "SELECT random()")
+		s.Seed(7)
+		cut := rowsOf(t, s, "SELECT s.r FROM (SELECT random() AS r FROM seq) AS s, b LIMIT 1")
+		after := rowsOf(t, s, "SELECT random()")
 		// Volatile sort key and window partition draw order.
-		e.Seed(7)
-		sorted := rowsOf(t, e, "SELECT n FROM seq ORDER BY random(), random()")
-		e.Seed(7)
-		agg := rowsOf(t, e, "SELECT sum(n), sum(n * random()) > -1, sum(random()) > -1 FROM seq")
+		s.Seed(7)
+		sorted := rowsOf(t, s, "SELECT n FROM seq ORDER BY random(), random()")
+		s.Seed(7)
+		agg := rowsOf(t, s, "SELECT sum(n), sum(n * random()) > -1, sum(random()) > -1 FROM seq")
 		for name, got := range map[string]string{
 			"multi": multi, "cut": cut, "after": after, "sorted": sorted, "agg": agg,
 		} {
@@ -462,9 +462,9 @@ func TestVolatileDrawOrderAcrossBatchSizes(t *testing.T) {
 func TestVolatilePlansRunTupleAtATime(t *testing.T) {
 	var ref string
 	for i, bs := range []int{1, 4, 256} {
-		e := newBatchTestEngine(t, bs)
-		e.Seed(11)
-		got := rowsOf(t, e, "SELECT s.r FROM (SELECT n, random() AS r FROM seq) AS s WHERE random() < 0.5")
+		s := newBatchTestEngine(t, bs).NewSession()
+		s.Seed(11)
+		got := rowsOf(t, s, "SELECT s.r FROM (SELECT n, random() AS r FROM seq) AS s WHERE random() < 0.5")
 		if i == 0 {
 			ref = got
 			continue
@@ -480,25 +480,25 @@ func TestVolatilePlansRunTupleAtATime(t *testing.T) {
 // the nest-loop plan when the pair is evaluated; the hash-join plan must
 // surface the same error instead of silently returning zero rows.
 func TestHashJoinIncomparableKindsError(t *testing.T) {
-	e := New(WithSeed(42), WithBatchSize(8))
-	if err := e.Exec(`CREATE TABLE ik (x int); CREATE TABLE tk (y text);
+	s := New(WithSeed(42), WithBatchSize(8)).NewSession()
+	if err := s.Exec(`CREATE TABLE ik (x int); CREATE TABLE tk (y text);
 		INSERT INTO ik VALUES (1), (2); INSERT INTO tk VALUES ('one')`); err != nil {
 		t.Fatal(err)
 	}
-	_, hashErr := e.Query("SELECT count(*) FROM ik, tk WHERE ik.x = tk.y")
+	_, hashErr := s.Query("SELECT count(*) FROM ik, tk WHERE ik.x = tk.y")
 	if hashErr == nil {
 		t.Fatal("hash join over int/text keys must error like the nest-loop plan")
 	}
 	// The non-hashable shape of the same predicate (forced nest loop).
-	_, nestErr := e.Query("SELECT count(*) FROM ik, tk WHERE ik.x = tk.y OR false")
+	_, nestErr := s.Query("SELECT count(*) FROM ik, tk WHERE ik.x = tk.y OR false")
 	if nestErr == nil {
 		t.Fatal("nest-loop over int/text keys must error")
 	}
 	// Comparable mixed numerics still join fine.
-	if err := e.Exec(`CREATE TABLE fk (y float); INSERT INTO fk VALUES (2.0)`); err != nil {
+	if err := s.Exec(`CREATE TABLE fk (y float); INSERT INTO fk VALUES (2.0)`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query("SELECT count(*) FROM ik, fk WHERE ik.x = fk.y")
+	res, err := s.Query("SELECT count(*) FROM ik, fk WHERE ik.x = fk.y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,13 +514,13 @@ func TestHashJoinIncomparableKindsError(t *testing.T) {
 // exactly as the tuple-at-a-time executor behaved.
 func TestJoinLimitDoesNotComputePastCut(t *testing.T) {
 	for _, bs := range []int{1, 2, 256} {
-		e := New(WithSeed(42), WithBatchSize(bs))
-		if err := e.Exec(`CREATE TABLE t (x int); CREATE TABLE r (y int);
+		s := New(WithSeed(42), WithBatchSize(bs)).NewSession()
+		if err := s.Exec(`CREATE TABLE t (x int); CREATE TABLE r (y int);
 			INSERT INTO t VALUES (1), (2), (0);
 			INSERT INTO r VALUES (10), (10), (10), (10), (10)`); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Query("SELECT l.v, r.y FROM (SELECT 10 / x AS v FROM t) AS l JOIN r ON l.v = r.y LIMIT 5")
+		res, err := s.Query("SELECT l.v, r.y FROM (SELECT 10 / x AS v FROM t) AS l JOIN r ON l.v = r.y LIMIT 5")
 		if err != nil {
 			t.Fatalf("batch size %d: LIMIT-bounded join computed past the cut: %v", bs, err)
 		}

@@ -41,7 +41,6 @@ func Open(dir string, opts ...Option) (*Engine, error) {
 
 // recover rebuilds the engine's state from dir and attaches the WAL.
 func (e *Engine) recover(dir string) error {
-	sh := e.sh
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("engine: data dir: %w", err)
 	}
@@ -50,11 +49,11 @@ func (e *Engine) recover(dir string) error {
 		return fmt.Errorf("engine: recovery: %w", err)
 	}
 	epoch := uint64(1)
-	cat := catalog.New(sh.storageStats)
+	cat := catalog.New(e.storageStats)
 	var last int64
 	if haveCk {
 		epoch = ck.Epoch
-		if cat, err = restoreCheckpoint(ck, sh); err != nil {
+		if cat, err = restoreCheckpoint(ck, e); err != nil {
 			return fmt.Errorf("engine: recovery: %w", err)
 		}
 		last = ck.LastTS
@@ -64,30 +63,30 @@ func (e *Engine) recover(dir string) error {
 		return fmt.Errorf("engine: recovery: %w", err)
 	}
 	for i, rec := range recs {
-		if last, err = applyRecord(cat, sh, rec, last); err != nil {
+		if last, err = applyRecord(cat, e, rec, last); err != nil {
 			return fmt.Errorf("engine: recovery: replaying record %d: %w", i, err)
 		}
 	}
-	sh.state.Store(&dbState{cat: cat, ts: last})
+	e.state.Store(&dbState{cat: cat, ts: last})
 
-	obsFsync, obsBatch := sh.walObservers()
+	obsFsync, obsBatch := e.walObservers()
 	w, err := wal.Open(dir, epoch, wal.Config{
-		Mode: sh.syncMode, Stats: sh.storageStats,
+		Mode: e.syncMode, Stats: e.storageStats,
 		ObserveFsync: obsFsync, ObserveBatch: obsBatch,
 	})
 	if err != nil {
 		return err
 	}
-	sh.wal = w
-	sh.dataDir = dir
-	sh.walEpoch = epoch
+	e.wal = w
+	e.dataDir = dir
+	e.walEpoch = epoch
 	// Fold the replayed tail into a fresh checkpoint so the next boot
 	// starts from a snapshot and an empty log — and so this boot's
 	// appends never share a log with records that predate it.
-	if err := sh.checkpoint("recovery"); err != nil {
+	if err := e.checkpoint("recovery"); err != nil {
 		return fmt.Errorf("engine: recovery: %w", err)
 	}
-	removeStaleLogs(dir, sh.walEpoch)
+	removeStaleLogs(dir, e.walEpoch)
 	return nil
 }
 
@@ -111,32 +110,32 @@ func removeStaleLogs(dir string, epoch uint64) {
 // lock, so the snapshot is a transaction boundary; the atomic
 // write-then-rename plus epoch-named logs make every crash window safe.
 // No-op on a volatile engine.
-func (e *Engine) Checkpoint() error { return e.sh.checkpoint("manual") }
+func (e *Engine) Checkpoint() error { return e.checkpoint("manual") }
 
 // checkpoint is the shared checkpoint body, labelled with its trigger
 // reason (manual / size / shutdown / recovery) for the registry's
 // checkpoints_triggered metric.
-func (sh *shared) checkpoint(reason string) error {
-	if sh.wal == nil {
+func (e *Engine) checkpoint(reason string) error {
+	if e.wal == nil {
 		return nil
 	}
-	sh.commitMu.Lock()
-	defer sh.commitMu.Unlock()
-	st := sh.state.Load()
-	next := sh.walEpoch + 1
+	e.commitMu.Lock()
+	defer e.commitMu.Unlock()
+	st := e.state.Load()
+	next := e.walEpoch + 1
 	ck, err := buildCheckpoint(st, next)
 	if err != nil {
 		return err
 	}
-	if err := wal.WriteCheckpoint(sh.dataDir, ck); err != nil {
+	if err := wal.WriteCheckpoint(e.dataDir, ck); err != nil {
 		return err
 	}
-	if err := sh.wal.Rotate(next); err != nil {
+	if err := e.wal.Rotate(next); err != nil {
 		return err
 	}
-	sh.walEpoch = next
-	atomic.AddInt64(&sh.storageStats.Checkpoints, 1)
-	sh.noteCheckpoint(reason)
+	e.walEpoch = next
+	atomic.AddInt64(&e.storageStats.Checkpoints, 1)
+	e.noteCheckpoint(reason)
 	return nil
 }
 
@@ -144,19 +143,15 @@ func (sh *shared) checkpoint(reason string) error {
 // snapshot load with no replay) and closes the WAL. Commits attempted
 // after Close fail. No-op on a volatile engine.
 func (e *Engine) Close() error {
-	if e.sh.wal == nil {
+	if e.wal == nil {
 		return nil
 	}
-	err := e.sh.checkpoint("shutdown")
-	if cerr := e.sh.wal.Close(); err == nil {
+	err := e.checkpoint("shutdown")
+	if cerr := e.wal.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
-
-// DataDir reports the engine's data directory ("" for a volatile
-// engine).
-func (e *Engine) DataDir() string { return e.sh.dataDir }
 
 // ---------------------------------------------------------------------------
 // checkpoint build / restore
@@ -201,10 +196,10 @@ func buildCheckpoint(st *dbState, epoch uint64) (*wal.Checkpoint, error) {
 
 // restoreCheckpoint rebuilds a catalog (functions, tables, indexes, and
 // every heap's exact version array) from a snapshot.
-func restoreCheckpoint(ck *wal.Checkpoint, sh *shared) (*catalog.Catalog, error) {
-	cat := catalog.New(sh.storageStats)
+func restoreCheckpoint(ck *wal.Checkpoint, e *Engine) (*catalog.Catalog, error) {
+	cat := catalog.New(e.storageStats)
 	for i := range ck.Funcs {
-		if err := applyFunctionEntry(cat, sh, &ck.Funcs[i]); err != nil {
+		if err := applyFunctionEntry(cat, e, &ck.Funcs[i]); err != nil {
 			return nil, fmt.Errorf("function %s: %w", ck.Funcs[i].Name, err)
 		}
 	}
@@ -244,11 +239,11 @@ func restoreCheckpoint(ck *wal.Checkpoint, sh *shared) (*catalog.Catalog, error)
 // catalog is private until recovery publishes it). Any reference the
 // record makes that the rebuilt state cannot resolve is a hard error:
 // recovery must never guess.
-func applyRecord(cat *catalog.Catalog, sh *shared, rec *wal.Record, last int64) (int64, error) {
+func applyRecord(cat *catalog.Catalog, e *Engine, rec *wal.Record, last int64) (int64, error) {
 	switch rec.Kind {
 	case wal.RecordCommit:
 		for _, ent := range rec.DDL {
-			if err := applyDDLEntry(cat, sh, ent); err != nil {
+			if err := applyDDLEntry(cat, e, ent); err != nil {
 				return last, err
 			}
 		}
@@ -284,9 +279,9 @@ func applyRecord(cat *catalog.Catalog, sh *shared, rec *wal.Record, last int64) 
 }
 
 // applyDDLEntry replays one catalog delta.
-func applyDDLEntry(cat *catalog.Catalog, sh *shared, ent wal.DDLEntry) error {
+func applyDDLEntry(cat *catalog.Catalog, e *Engine, ent wal.DDLEntry) error {
 	if ent.Fn != nil {
-		return applyFunctionEntry(cat, sh, ent.Fn)
+		return applyFunctionEntry(cat, e, ent.Fn)
 	}
 	stmt, err := sqlparser.ParseStatement(ent.SQL)
 	if err != nil {
@@ -300,7 +295,7 @@ func applyDDLEntry(cat *catalog.Catalog, sh *shared, ent wal.DDLEntry) error {
 	case *sqlast.DropTable:
 		return cat.DropTable(st.Name, st.IfExists)
 	case *sqlast.CreateFunction:
-		return applyCreateFunction(cat, sh, st)
+		return applyCreateFunction(cat, e, st)
 	case *sqlast.DropFunction:
 		return cat.DropFunction(st.Name, st.IfExists)
 	default:
@@ -357,7 +352,7 @@ func functionEntryFromStmt(stmt *sqlast.CreateFunction) *wal.FunctionEntry {
 // functions are re-installed directly (their body is a pure-SQL query);
 // plpgsql and sql functions go through the ordinary CREATE FUNCTION
 // path, re-parsing the stored body exactly as the original DDL did.
-func applyFunctionEntry(cat *catalog.Catalog, sh *shared, fe *wal.FunctionEntry) error {
+func applyFunctionEntry(cat *catalog.Catalog, e *Engine, fe *wal.FunctionEntry) error {
 	if fe.Language == catalog.FuncCompiled.String() {
 		q, err := sqlparser.ParseQuery(fe.Body)
 		if err != nil {
@@ -389,7 +384,7 @@ func applyFunctionEntry(cat *catalog.Catalog, sh *shared, fe *wal.FunctionEntry)
 	for _, p := range fe.Params {
 		stmt.Params = append(stmt.Params, sqlast.ParamDef{Name: p.Name, TypeName: p.Type})
 	}
-	return applyCreateFunction(cat, sh, stmt)
+	return applyCreateFunction(cat, e, stmt)
 }
 
 func parseParamEntries(entries []wal.ParamEntry) ([]plast.Param, error) {

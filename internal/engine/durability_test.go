@@ -23,9 +23,9 @@ func openT(t *testing.T, dir string, opts ...Option) *Engine {
 	return e
 }
 
-func queryInt(t *testing.T, e *Engine, sql string) int64 {
+func queryInt(t *testing.T, s *Session, sql string) int64 {
 	t.Helper()
-	v, err := e.QueryValue(sql)
+	v, err := s.QueryValue(sql)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -37,7 +37,8 @@ func queryInt(t *testing.T, e *Engine, sql string) int64 {
 func TestDurableReopenAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	e := openT(t, dir)
-	if err := e.Exec(`
+	s := e.NewSession()
+	if err := s.Exec(`
 		CREATE TABLE kv (k int, v text);
 		CREATE INDEX kv_k ON kv (k);
 		INSERT INTO kv VALUES (1, 'one'), (2, 'two'), (3, 'three');
@@ -51,11 +52,12 @@ func TestDurableReopenAfterClose(t *testing.T) {
 	}
 
 	e2 := openT(t, dir)
+	s2 := e2.NewSession()
 	defer e2.Close()
-	if n := queryInt(t, e2, "SELECT count(*) FROM kv"); n != 2 {
+	if n := queryInt(t, s2, "SELECT count(*) FROM kv"); n != 2 {
 		t.Fatalf("recovered %d rows, want 2", n)
 	}
-	v, err := e2.QueryValue("SELECT v FROM kv WHERE k = 1")
+	v, err := s2.QueryValue("SELECT v FROM kv WHERE k = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestDurableReopenAfterClose(t *testing.T) {
 		t.Fatalf("recovered v = %q, want ONE (update lost)", v.Text())
 	}
 	// The index declaration must survive too: probe through it.
-	if n := queryInt(t, e2, "SELECT count(*) FROM kv WHERE k = 3"); n != 1 {
+	if n := queryInt(t, s2, "SELECT count(*) FROM kv WHERE k = 3"); n != 1 {
 		t.Fatalf("indexed probe found %d rows, want 1", n)
 	}
 }
@@ -72,8 +74,8 @@ func TestDurableReopenAfterClose(t *testing.T) {
 // crash case: no final checkpoint, recovery must come from the WAL.
 func TestDurableReplayWithoutClose(t *testing.T) {
 	dir := t.TempDir()
-	e := openT(t, dir)
-	if err := e.Exec(`
+	s := openT(t, dir).NewSession()
+	if err := s.Exec(`
 		CREATE TABLE t (a int);
 		INSERT INTO t VALUES (10), (20), (30);
 	`); err != nil {
@@ -82,8 +84,9 @@ func TestDurableReplayWithoutClose(t *testing.T) {
 	// No Close: e's state lives only in its WAL now.
 
 	e2 := openT(t, dir)
+	s2 := e2.NewSession()
 	defer e2.Close()
-	if n := queryInt(t, e2, "SELECT sum(a) FROM t"); n != 60 {
+	if n := queryInt(t, s2, "SELECT sum(a) FROM t"); n != 60 {
 		t.Fatalf("recovered sum %d, want 60", n)
 	}
 }
@@ -111,11 +114,12 @@ func TestDurableTxnCommitRollback(t *testing.T) {
 	mustExec("ROLLBACK")
 
 	e2 := openT(t, dir)
+	s2 := e2.NewSession()
 	defer e2.Close()
-	if bal := queryInt(t, e2, "SELECT bal FROM acct WHERE id = 1"); bal != 60 {
+	if bal := queryInt(t, s2, "SELECT bal FROM acct WHERE id = 1"); bal != 60 {
 		t.Fatalf("recovered id=1 bal %d, want 60", bal)
 	}
-	if sum := queryInt(t, e2, "SELECT sum(bal) FROM acct"); sum != 200 {
+	if sum := queryInt(t, s2, "SELECT sum(bal) FROM acct"); sum != 200 {
 		t.Fatalf("recovered total %d, want 200 (transaction atomicity broken)", sum)
 	}
 }
@@ -141,11 +145,12 @@ func TestDurableTxnDDLAndDrop(t *testing.T) {
 	}
 
 	e2 := openT(t, dir)
+	s2 := e2.NewSession()
 	defer e2.Close()
-	if n := queryInt(t, e2, "SELECT count(*) FROM keep"); n != 1 {
+	if n := queryInt(t, s2, "SELECT count(*) FROM keep"); n != 1 {
 		t.Fatalf("recovered keep count %d, want 1", n)
 	}
-	if _, err := e2.Query("SELECT * FROM tmp"); err == nil {
+	if _, err := s2.Query("SELECT * FROM tmp"); err == nil {
 		t.Fatal("tmp survived recovery; it was dropped in the committing block")
 	}
 }
@@ -157,13 +162,13 @@ func TestDurableTxnDDLAndDrop(t *testing.T) {
 func TestDurableVacuumReplay(t *testing.T) {
 	dir := t.TempDir()
 	e := openT(t, dir)
-	if err := e.Exec("CREATE TABLE ctr (k int, n int)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Exec("INSERT INTO ctr VALUES (0, 0), (1, 0), (2, 0), (3, 0)"); err != nil {
-		t.Fatal(err)
-	}
 	s := e.NewSession()
+	if err := s.Exec("CREATE TABLE ctr (k int, n int)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Exec("INSERT INTO ctr VALUES (0, 0), (1, 0), (2, 0), (3, 0)"); err != nil {
+		t.Fatal(err)
+	}
 	inc, err := s.Prepare("UPDATE ctr SET n = n + 1 WHERE k = $1")
 	if err != nil {
 		t.Fatal(err)
@@ -179,11 +184,12 @@ func TestDurableVacuumReplay(t *testing.T) {
 	}
 	// Crash (no Close): replay must walk every commit + vacuum record.
 	e2 := openT(t, dir)
+	s2 := e2.NewSession()
 	defer e2.Close()
-	if sum := queryInt(t, e2, "SELECT sum(n) FROM ctr"); sum != rounds {
+	if sum := queryInt(t, s2, "SELECT sum(n) FROM ctr"); sum != rounds {
 		t.Fatalf("recovered sum %d, want %d (vacuum replay diverged)", sum, rounds)
 	}
-	if n := queryInt(t, e2, "SELECT count(*) FROM ctr"); n != 4 {
+	if n := queryInt(t, s2, "SELECT count(*) FROM ctr"); n != 4 {
 		t.Fatalf("recovered %d rows, want 4", n)
 	}
 }
@@ -193,7 +199,8 @@ func TestDurableVacuumReplay(t *testing.T) {
 func TestDurableFunctions(t *testing.T) {
 	dir := t.TempDir()
 	e := openT(t, dir)
-	if err := e.Exec(`
+	s := e.NewSession()
+	if err := s.Exec(`
 		CREATE FUNCTION add_interp(a int, b int) RETURNS int AS $$
 		BEGIN
 			RETURN a + b;
@@ -202,7 +209,7 @@ func TestDurableFunctions(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Exec("CREATE FUNCTION add_sql(a int, b int) RETURNS int AS $$ SELECT $1 + $2 $$ LANGUAGE sql"); err != nil {
+	if err := s.Exec("CREATE FUNCTION add_sql(a int, b int) RETURNS int AS $$ SELECT $1 + $2 $$ LANGUAGE sql"); err != nil {
 		t.Fatal(err)
 	}
 	body, err := sqlparser.ParseQuery("SELECT $1 * $2")
@@ -213,7 +220,7 @@ func TestDurableFunctions(t *testing.T) {
 		{Name: "a", Type: sqltypes.TypeInt},
 		{Name: "b", Type: sqltypes.TypeInt},
 	}
-	if err := e.InstallCompiled("mul_c", mulParams, sqltypes.TypeInt, body); err != nil {
+	if err := s.InstallCompiled("mul_c", mulParams, sqltypes.TypeInt, body); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -221,13 +228,14 @@ func TestDurableFunctions(t *testing.T) {
 	}
 
 	e2 := openT(t, dir)
+	s2 := e2.NewSession()
 	defer e2.Close()
 	for sql, want := range map[string]int64{
 		"SELECT add_interp(19, 23)": 42,
 		"SELECT add_sql(40, 2)":     42,
 		"SELECT mul_c(6, 7)":        42,
 	} {
-		if got := queryInt(t, e2, sql); got != want {
+		if got := queryInt(t, s2, sql); got != want {
 			t.Errorf("%s = %d, want %d", sql, got, want)
 		}
 	}
@@ -238,13 +246,14 @@ func TestDurableSyncModes(t *testing.T) {
 	for _, mode := range []wal.SyncMode{wal.SyncOff, wal.SyncBatched, wal.SyncPerCommit} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			e := openT(t, dir, WithSyncMode(mode))
-			if err := e.Exec("CREATE TABLE m (x int); INSERT INTO m VALUES (5), (6)"); err != nil {
+			s := openT(t, dir, WithSyncMode(mode)).NewSession()
+			if err := s.Exec("CREATE TABLE m (x int); INSERT INTO m VALUES (5), (6)"); err != nil {
 				t.Fatal(err)
 			}
 			e2 := openT(t, dir, WithSyncMode(mode))
+			s2 := e2.NewSession()
 			defer e2.Close()
-			if n := queryInt(t, e2, "SELECT sum(x) FROM m"); n != 11 {
+			if n := queryInt(t, s2, "SELECT sum(x) FROM m"); n != 11 {
 				t.Fatalf("recovered sum %d, want 11", n)
 			}
 		})
@@ -257,7 +266,8 @@ func TestDurableSyncModes(t *testing.T) {
 func TestDurableCheckpointTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
 	e := openT(t, dir)
-	if err := e.Exec("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2)"); err != nil {
+	s := e.NewSession()
+	if err := s.Exec("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2)"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Checkpoint(); err != nil {
@@ -274,8 +284,9 @@ func TestDurableCheckpointTruncatesLog(t *testing.T) {
 		t.Fatalf("post-checkpoint log %v size %d, want empty", err, fi.Size())
 	}
 	e2 := openT(t, dir)
+	s2 := e2.NewSession()
 	defer e2.Close()
-	if n := queryInt(t, e2, "SELECT sum(a) FROM t"); n != 3 {
+	if n := queryInt(t, s2, "SELECT sum(a) FROM t"); n != 3 {
 		t.Fatalf("recovered sum %d, want 3", n)
 	}
 }
@@ -285,7 +296,8 @@ func TestDurableCheckpointTruncatesLog(t *testing.T) {
 func TestDurableCorruptCheckpointFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	e := openT(t, dir)
-	if err := e.Exec("CREATE TABLE t (a int); INSERT INTO t VALUES (1)"); err != nil {
+	s := e.NewSession()
+	if err := s.Exec("CREATE TABLE t (a int); INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {

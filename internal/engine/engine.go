@@ -36,9 +36,8 @@
 //     at all until COMMIT runs the same validate-and-publish section —
 //     read-only blocks never touch the commit lock (see txn.go).
 //
-// Engine.NewSession hands out sessions; the Engine's own query methods
-// remain as a compatibility facade that serializes callers onto a default
-// session, so existing single-session code keeps its old contract.
+// Every statement runs on a Session (Engine.NewSession); the Engine
+// itself runs none.
 package engine
 
 import (
@@ -50,10 +49,7 @@ import (
 	"plsqlaway/internal/exec"
 	"plsqlaway/internal/obs"
 	"plsqlaway/internal/plan"
-	"plsqlaway/internal/plast"
-	"plsqlaway/internal/plinterp"
 	"plsqlaway/internal/profile"
-	"plsqlaway/internal/sqlast"
 	"plsqlaway/internal/sqltypes"
 	"plsqlaway/internal/storage"
 	"plsqlaway/internal/wal"
@@ -106,10 +102,12 @@ func (p *pinSet) oldest(def int64) int64 {
 	return min
 }
 
-// shared is the session-independent core of one engine instance. state
-// holds the published database snapshot; commitMu serializes the
-// validate-and-publish section every commit ends with — readers take no
-// lock at all, they pin the state pointer.
+// Engine is one database instance: the catalog, storage, plan cache and
+// commit protocol its sessions share. It runs no statements itself;
+// NewSession hands out the sessions that do. state holds the published
+// database snapshot; commitMu serializes the validate-and-publish
+// section every commit ends with — readers take no lock at all, they
+// pin the state pointer.
 //
 // vacuumGate orders vacuum against optimistic writer statements: a
 // writer statement buffers dead version *indices* outside commitMu, and
@@ -119,7 +117,7 @@ func (p *pinSet) oldest(def int64) int64 {
 // — otherwise it skips and a later commit retries. Lock order is gate
 // before commitMu (committers) and commitMu before TryLock (vacuum); the
 // try never blocks, so the inversion cannot deadlock.
-type shared struct {
+type Engine struct {
 	commitMu   sync.Mutex
 	vacuumGate sync.RWMutex
 	state      atomic.Pointer[dbState]
@@ -129,7 +127,6 @@ type shared struct {
 	execStats    exec.Stats
 	cache        *plan.Cache
 	prof         profile.Profile
-	workMem      int
 	maxRecursion int
 	maxCallDepth int
 	seed         uint64
@@ -159,34 +156,20 @@ type shared struct {
 // between — the re-check guarantees vacuum computed its horizon after
 // this pin was visible, so the snapshot's versions cannot be reclaimed
 // from under the reader.
-func (sh *shared) pinState() *dbState {
+func (e *Engine) pinState() *dbState {
 	for {
-		st := sh.state.Load()
-		sh.pins.pin(st.ts)
-		if sh.state.Load() == st {
+		st := e.state.Load()
+		e.pins.pin(st.ts)
+		if e.state.Load() == st {
 			return st
 		}
-		sh.pins.unpin(st.ts)
+		e.pins.unpin(st.ts)
 	}
 }
 
-// Engine is one database instance. Its query/DDL methods are safe for
-// concurrent use: a mutex serializes them onto a built-in default session.
-// For actual parallelism, give each goroutine its own Session via
-// NewSession — sessions share the catalog, storage, and plan cache but
-// execute independently.
-type Engine struct {
-	sh *shared
-
-	// mu serializes the compatibility facade onto def.
-	mu  sync.Mutex
-	def *Session
-}
-
-// config collects option values before the engine core is built.
+// config collects option values before the engine is built.
 type config struct {
 	prof            profile.Profile
-	workMem         int
 	maxRecursion    int
 	maxCallDepth    int
 	seed            uint64
@@ -204,11 +187,8 @@ type Option func(*config)
 // WithProfile selects an engine profile (default PostgreSQL).
 func WithProfile(p profile.Profile) Option { return func(c *config) { c.prof = p } }
 
-// WithWorkMem bounds per-tuplestore memory before spilling.
-func WithWorkMem(bytes int) Option { return func(c *config) { c.workMem = bytes } }
-
 // WithSeed seeds the deterministic random() source. Every session starts
-// from this seed; Seed/Session.Seed reseed an individual stream.
+// from this seed; Session.Seed reseeds an individual stream.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithMaxRecursion caps WITH RECURSIVE iterations (a safety net against
@@ -252,7 +232,6 @@ func WithCheckpointBytes(n int64) Option { return func(c *config) { c.checkpoint
 func New(opts ...Option) *Engine {
 	cfg := config{
 		prof:         profile.PostgreSQL,
-		workMem:      storage.DefaultWorkMem,
 		maxRecursion: 20_000_000,
 		maxCallDepth: 256,
 		seed:         42,
@@ -262,10 +241,10 @@ func New(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	sh := &shared{
+	e := &Engine{
 		storageStats:    &storage.Stats{},
+		cache:           plan.NewCache(),
 		prof:            cfg.prof,
-		workMem:         cfg.workMem,
 		maxRecursion:    cfg.maxRecursion,
 		maxCallDepth:    cfg.maxCallDepth,
 		seed:            cfg.seed,
@@ -275,13 +254,10 @@ func New(opts ...Option) *Engine {
 		logf:            cfg.logf,
 		checkpointBytes: cfg.checkpointBytes,
 	}
-	sh.state.Store(&dbState{cat: catalog.New(sh.storageStats), ts: 0})
-	sh.cache = plan.NewCache()
+	e.state.Store(&dbState{cat: catalog.New(e.storageStats), ts: 0})
 	if cfg.registry != nil {
-		sh.metrics = newMetrics(cfg.registry, sh)
+		e.metrics = newMetrics(cfg.registry, e)
 	}
-	e := &Engine{sh: sh}
-	e.def = e.NewSession()
 	return e
 }
 
@@ -289,124 +265,31 @@ func New(opts ...Option) *Engine {
 // storage, and plan cache. Sessions are cheap; create one per goroutine.
 // A single session must not be used concurrently.
 func (e *Engine) NewSession() *Session {
-	if m := e.sh.metrics; m != nil {
+	if m := e.metrics; m != nil {
 		m.sessions.Inc()
 	}
-	return newSession(e.sh)
+	return newSession(e)
 }
 
 // Metrics exposes the registry the engine publishes into (nil unless
 // built with WithMetricsRegistry).
 func (e *Engine) Metrics() *obs.Registry {
-	if e.sh.metrics == nil {
+	if e.metrics == nil {
 		return nil
 	}
-	return e.sh.metrics.reg
+	return e.metrics.reg
 }
-
-// Counters exposes the default session's profile counters (Table 1
-// buckets). Counters are per-session: a session created with NewSession
-// reports its own via Session.Counters.
-func (e *Engine) Counters() *profile.Counters { return e.def.Counters() }
 
 // StorageStats exposes storage counters (Table 2 page writes), shared by
 // all sessions.
-func (e *Engine) StorageStats() *storage.Stats { return e.sh.storageStats }
+func (e *Engine) StorageStats() *storage.Stats { return e.storageStats }
 
 // Catalog exposes the currently published catalog snapshot. The snapshot
 // is immutable; DDL publishes a new one.
-func (e *Engine) Catalog() *catalog.Catalog { return e.sh.state.Load().cat }
+func (e *Engine) Catalog() *catalog.Catalog { return e.state.Load().cat }
 
 // PlanCache exposes the shared plan cache (ablation A4 toggles it).
-func (e *Engine) PlanCache() *plan.Cache { return e.sh.cache }
-
-// Interp exposes the default session's PL/pgSQL interpreter (ablation A3
-// toggles its fast path).
-func (e *Engine) Interp() *plinterp.Interpreter { return e.def.Interp() }
-
-// Profile reports the active engine profile.
-func (e *Engine) Profile() profile.Profile { return e.sh.prof }
-
-// SetBatchSize overrides the default session's executor batch size (0
-// restores the engine default, 1 degenerates to tuple-at-a-time
-// iteration). Sessions created with NewSession use their own
-// Session.SetBatchSize.
-func (e *Engine) SetBatchSize(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.def.SetBatchSize(n)
-}
-
-// SetInlining toggles planner UDF inlining on the default session (on by
-// default). Sessions created with NewSession use their own
-// Session.SetInlining.
-func (e *Engine) SetInlining(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.def.SetInlining(on)
-}
-
-// PlanStats reports the shared plan cache's inlining counters (UDF calls
-// inlined, constant-specialized call sites, cache evictions).
-func (e *Engine) PlanStats() (inlined, specialized, evictions int64) {
-	return e.def.PlanStats()
-}
-
-// Seed reseeds the default session's random(); interpreted and compiled
-// runs of the same seed see the same stream.
-func (e *Engine) Seed(seed uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.def.Seed(seed)
-}
-
-// Exec runs a semicolon-separated SQL script (DDL, DML, and queries whose
-// results are discarded) on the default session.
-func (e *Engine) Exec(sql string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.def.Exec(sql)
-}
-
-// Query runs a single SQL query on the default session.
-func (e *Engine) Query(sql string, params ...sqltypes.Value) (*Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.def.Query(sql, params...)
-}
-
-// QueryValue runs a query expected to return one row with one column.
-func (e *Engine) QueryValue(sql string, params ...sqltypes.Value) (sqltypes.Value, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.def.QueryValue(sql, params...)
-}
-
-// QueryPlanned executes an already-parsed query (used by the compiler
-// pipeline and benchmarks to skip re-parsing).
-func (e *Engine) QueryPlanned(q *sqlast.Query, params ...sqltypes.Value) (*Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.def.QueryPlanned(q, params...)
-}
-
-// QueryFresh plans and executes q bypassing the plan cache — the benchmark
-// harness uses it so every measurement includes the one-time cost to
-// optimize the (possibly large, inlined) query, as the paper's Figure 11
-// measurements do.
-func (e *Engine) QueryFresh(q *sqlast.Query, params ...sqltypes.Value) (*Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.def.QueryFresh(q, params...)
-}
-
-// InstallCompiled registers a compiled function: calls evaluate the given
-// pure-SQL body (parameters $1..$n) with no interpreter involvement.
-func (e *Engine) InstallCompiled(name string, params []plast.Param, ret sqltypes.Type, body *sqlast.Query) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.def.InstallCompiled(name, params, ret, body)
-}
+func (e *Engine) PlanCache() *plan.Cache { return e.cache }
 
 // Result is a query result with column names.
 type Result struct {

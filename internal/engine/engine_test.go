@@ -10,9 +10,9 @@ import (
 
 // rowsOf renders a result compactly for comparison: rows joined by ";",
 // values by ",".
-func rowsOf(t *testing.T, e *Engine, sql string, params ...sqltypes.Value) string {
+func rowsOf(t *testing.T, s *Session, sql string, params ...sqltypes.Value) string {
 	t.Helper()
-	res, err := e.Query(sql, params...)
+	res, err := s.Query(sql, params...)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}
@@ -28,7 +28,7 @@ func rowsOf(t *testing.T, e *Engine, sql string, params ...sqltypes.Value) strin
 }
 
 func TestScalarQueries(t *testing.T) {
-	e := New()
+	s := New().NewSession()
 	cases := []struct {
 		sql  string
 		want string
@@ -74,21 +74,21 @@ func TestScalarQueries(t *testing.T) {
 	}
 	for _, c := range cases {
 		if c.sql == "SELECT $1 + $2" {
-			got := rowsOf(t, e, c.sql, sqltypes.NewInt(20), sqltypes.NewInt(22))
+			got := rowsOf(t, s, c.sql, sqltypes.NewInt(20), sqltypes.NewInt(22))
 			if got != "42" {
 				t.Errorf("%s = %q, want 42", c.sql, got)
 			}
 			continue
 		}
-		if got := rowsOf(t, e, c.sql); got != c.want {
+		if got := rowsOf(t, s, c.sql); got != c.want {
 			t.Errorf("%s = %q, want %q", c.sql, got, c.want)
 		}
 	}
 }
 
-func setupBasicTables(t *testing.T, e *Engine) {
+func setupBasicTables(t *testing.T, s *Session) {
 	t.Helper()
-	err := e.Exec(`
+	err := s.Exec(`
 		CREATE TABLE t (a int, b text);
 		INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three'), (2, 'zwei');
 		CREATE TABLE u (a int, c float);
@@ -100,8 +100,8 @@ func setupBasicTables(t *testing.T, e *Engine) {
 }
 
 func TestBasicSelects(t *testing.T) {
-	e := New()
-	setupBasicTables(t, e)
+	s := New().NewSession()
+	setupBasicTables(t, s)
 	cases := []struct{ sql, want string }{
 		{"SELECT a, b FROM t WHERE a = 2 ORDER BY b", "2,two;2,zwei"},
 		{"SELECT * FROM t ORDER BY a, b LIMIT 2", "1,one;2,two"},
@@ -131,15 +131,15 @@ func TestBasicSelects(t *testing.T) {
 		{"SELECT t.* FROM t WHERE a = 3", "3,three"},
 	}
 	for _, c := range cases {
-		if got := rowsOf(t, e, c.sql); got != c.want {
+		if got := rowsOf(t, s, c.sql); got != c.want {
 			t.Errorf("%s\n got: %q\nwant: %q", c.sql, got, c.want)
 		}
 	}
 }
 
 func TestLateralJoins(t *testing.T) {
-	e := New()
-	setupBasicTables(t, e)
+	s := New().NewSession()
+	setupBasicTables(t, s)
 	cases := []struct{ sql, want string }{
 		// The compiler's let-chain shape.
 		{"SELECT v3 FROM (SELECT 1) AS _0(v1) LEFT JOIN LATERAL (SELECT v1 + 1) AS _1(v2) ON true LEFT JOIN LATERAL (SELECT v2 * 10) AS _2(v3) ON true", "20"},
@@ -151,24 +151,24 @@ func TestLateralJoins(t *testing.T) {
 		{"SELECT (SELECT (SELECT t.a + u.a FROM u WHERE u.a = 9) FROM t WHERE t.a = 3)", "12"},
 	}
 	for _, c := range cases {
-		if got := rowsOf(t, e, c.sql); got != c.want {
+		if got := rowsOf(t, s, c.sql); got != c.want {
 			t.Errorf("%s\n got: %q\nwant: %q", c.sql, got, c.want)
 		}
 	}
 }
 
 func TestMissingLateralError(t *testing.T) {
-	e := New()
-	setupBasicTables(t, e)
-	_, err := e.Query("SELECT * FROM t, (SELECT t.a) AS x")
+	s := New().NewSession()
+	setupBasicTables(t, s)
+	_, err := s.Query("SELECT * FROM t, (SELECT t.a) AS x")
 	if err == nil || !strings.Contains(err.Error(), "LATERAL") {
 		t.Errorf("expected missing-LATERAL error, got %v", err)
 	}
 }
 
 func TestWindowFunctions(t *testing.T) {
-	e := New()
-	err := e.Exec(`
+	s := New().NewSession()
+	err := s.Exec(`
 		CREATE TABLE w (g text, o int, v float);
 		INSERT INTO w VALUES ('a', 1, 10), ('a', 2, 20), ('a', 2, 5), ('a', 3, 40), ('b', 1, 100);
 	`)
@@ -191,7 +191,7 @@ func TestWindowFunctions(t *testing.T) {
 		  ORDER BY o`, "1,0,10;3,10,50"},
 	}
 	for _, c := range cases {
-		if got := rowsOf(t, e, c.sql); got != c.want {
+		if got := rowsOf(t, s, c.sql); got != c.want {
 			t.Errorf("%s\n got: %q\nwant: %q", c.sql, got, c.want)
 		}
 	}
@@ -200,8 +200,8 @@ func TestWindowFunctions(t *testing.T) {
 func TestWalkMovementQueryShape(t *testing.T) {
 	// The verbatim Q2 of the paper's Figure 3, with the PL/SQL variables as
 	// parameters.
-	e := New()
-	err := e.Exec(`
+	s := New().NewSession()
+	err := s.Exec(`
 		CREATE TABLE actions (here coord, action text, there coord, prob float);
 		INSERT INTO actions VALUES
 			(coord(3,2), '→', coord(4,2), 0.8),
@@ -232,7 +232,7 @@ func TestWalkMovementQueryShape(t *testing.T) {
 		{0.5, "(4,2)"},
 		{0.95, "(4,2)"},
 	} {
-		got := rowsOf(t, e, q, sqltypes.NewCoord(3, 2), sqltypes.NewText("→"), sqltypes.NewFloat(c.roll))
+		got := rowsOf(t, s, q, sqltypes.NewCoord(3, 2), sqltypes.NewText("→"), sqltypes.NewFloat(c.roll))
 		if got != c.want {
 			t.Errorf("roll %.2f: got %q, want %q", c.roll, got, c.want)
 		}
@@ -240,8 +240,8 @@ func TestWalkMovementQueryShape(t *testing.T) {
 }
 
 func TestCTEs(t *testing.T) {
-	e := New()
-	setupBasicTables(t, e)
+	s := New().NewSession()
+	setupBasicTables(t, s)
 	cases := []struct{ sql, want string }{
 		{"WITH x AS (SELECT a + 10 AS n FROM t) SELECT max(n) FROM x", "13"},
 		{"WITH x(n) AS (SELECT 1), y(m) AS (SELECT n + 1 FROM x) SELECT m FROM y", "2"},
@@ -265,15 +265,15 @@ func TestCTEs(t *testing.T) {
 		{"WITH ITERATE f(n, acc) AS (SELECT 1, 1 UNION ALL SELECT n + 1, acc * (n + 1) FROM f WHERE n < 5) SELECT n, acc FROM f", "5,120"},
 	}
 	for _, c := range cases {
-		if got := rowsOf(t, e, c.sql); got != c.want {
+		if got := rowsOf(t, s, c.sql); got != c.want {
 			t.Errorf("%s\n got: %q\nwant: %q", c.sql, got, c.want)
 		}
 	}
 }
 
 func TestRecursionLimit(t *testing.T) {
-	e := New(WithMaxRecursion(1000))
-	_, err := e.Query("WITH RECURSIVE f(n) AS (SELECT 1 UNION ALL SELECT n FROM f) SELECT count(*) FROM f LIMIT 1")
+	s := New(WithMaxRecursion(1000)).NewSession()
+	_, err := s.Query("WITH RECURSIVE f(n) AS (SELECT 1 UNION ALL SELECT n FROM f) SELECT count(*) FROM f LIMIT 1")
 	if err == nil {
 		t.Skip("unbounded recursion unexpectedly completed") // guarded by MaxRecursion
 	}
@@ -283,43 +283,43 @@ func TestRecursionLimit(t *testing.T) {
 }
 
 func TestDML(t *testing.T) {
-	e := New()
-	setupBasicTables(t, e)
-	if err := e.Exec("UPDATE t SET a = a + 10 WHERE b = 'two'"); err != nil {
+	s := New().NewSession()
+	setupBasicTables(t, s)
+	if err := s.Exec("UPDATE t SET a = a + 10 WHERE b = 'two'"); err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsOf(t, e, "SELECT a FROM t WHERE b = 'two'"); got != "12" {
+	if got := rowsOf(t, s, "SELECT a FROM t WHERE b = 'two'"); got != "12" {
 		t.Errorf("update: %q", got)
 	}
-	if err := e.Exec("DELETE FROM t WHERE a >= 10"); err != nil {
+	if err := s.Exec("DELETE FROM t WHERE a >= 10"); err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsOf(t, e, "SELECT count(*) FROM t"); got != "3" {
+	if got := rowsOf(t, s, "SELECT count(*) FROM t"); got != "3" {
 		t.Errorf("delete: %q", got)
 	}
-	if err := e.Exec("INSERT INTO t (b, a) VALUES ('five', 5)"); err != nil {
+	if err := s.Exec("INSERT INTO t (b, a) VALUES ('five', 5)"); err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsOf(t, e, "SELECT b FROM t WHERE a = 5"); got != "five" {
+	if got := rowsOf(t, s, "SELECT b FROM t WHERE a = 5"); got != "five" {
 		t.Errorf("insert with column list: %q", got)
 	}
-	if err := e.Exec("INSERT INTO t SELECT a + 100, b FROM t WHERE a = 5"); err != nil {
+	if err := s.Exec("INSERT INTO t SELECT a + 100, b FROM t WHERE a = 5"); err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsOf(t, e, "SELECT a FROM t WHERE a > 100"); got != "105" {
+	if got := rowsOf(t, s, "SELECT a FROM t WHERE a > 100"); got != "105" {
 		t.Errorf("insert-select: %q", got)
 	}
-	if err := e.Exec("DROP TABLE u"); err != nil {
+	if err := s.Exec("DROP TABLE u"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("SELECT * FROM u"); err == nil {
+	if _, err := s.Query("SELECT * FROM u"); err == nil {
 		t.Error("query after drop should fail")
 	}
 }
 
 func TestPLpgSQLFunctionEndToEnd(t *testing.T) {
-	e := New()
-	err := e.Exec(`
+	s := New().NewSession()
+	err := s.Exec(`
 CREATE FUNCTION fib(n int) RETURNS int AS $$
 DECLARE
   a int = 0;
@@ -337,26 +337,27 @@ $$ LANGUAGE plpgsql`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsOf(t, e, "SELECT fib(10)"); got != "55" {
+	if got := rowsOf(t, s, "SELECT fib(10)"); got != "55" {
 		t.Errorf("fib(10) = %q", got)
 	}
 	// Called per row from a query: Q→f context switches counted.
-	e.Counters().Reset()
-	if got := rowsOf(t, e, "SELECT fib(n) FROM (VALUES (1), (2), (3), (4), (5)) AS v(n) ORDER BY 1"); got != "1;1;2;3;5" {
+	s.Counters().Reset()
+	if got := rowsOf(t, s, "SELECT fib(n) FROM (VALUES (1), (2), (3), (4), (5)) AS v(n) ORDER BY 1"); got != "1;1;2;3;5" {
 		t.Errorf("fib over rows: %q", got)
 	}
-	if e.Counters().CtxSwitchQF != 5 {
-		t.Errorf("Q→f switches = %d, want 5", e.Counters().CtxSwitchQF)
+	if s.Counters().CtxSwitchQF != 5 {
+		t.Errorf("Q→f switches = %d, want 5", s.Counters().CtxSwitchQF)
 	}
 	// fib is all fast-path: no executor starts from the interpreter.
-	if e.Counters().CtxSwitchFQ != 0 {
-		t.Errorf("f→Q switches = %d, want 0 (fast path only)", e.Counters().CtxSwitchFQ)
+	if s.Counters().CtxSwitchFQ != 0 {
+		t.Errorf("f→Q switches = %d, want 0 (fast path only)", s.Counters().CtxSwitchFQ)
 	}
 }
 
 func TestPLpgSQLWithEmbeddedQueries(t *testing.T) {
 	e := New()
-	err := e.Exec(`
+	s := e.NewSession()
+	err := s.Exec(`
 		CREATE TABLE scores (id int, pts int);
 		INSERT INTO scores VALUES (1, 10), (2, 20), (3, 30);
 		CREATE FUNCTION total_above(threshold int) RETURNS int AS $$
@@ -378,11 +379,11 @@ func TestPLpgSQLWithEmbeddedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Counters().Reset()
-	if got := rowsOf(t, e, "SELECT total_above(15)"); got != "50" {
+	s.Counters().Reset()
+	if got := rowsOf(t, s, "SELECT total_above(15)"); got != "50" {
 		t.Errorf("total_above(15) = %q", got)
 	}
-	c := e.Counters()
+	c := s.Counters()
 	if c.CtxSwitchFQ != 3 {
 		t.Errorf("f→Qi switches = %d, want 3 (one per embedded query eval)", c.CtxSwitchFQ)
 	}
@@ -401,8 +402,8 @@ func TestPLpgSQLWithEmbeddedQueries(t *testing.T) {
 }
 
 func TestPLpgSQLControlFlow(t *testing.T) {
-	e := New()
-	err := e.Exec(`
+	s := New().NewSession()
+	err := s.Exec(`
 		CREATE FUNCTION collatz(n int) RETURNS int AS $$
 		DECLARE steps int = 0;
 		BEGIN
@@ -436,20 +437,20 @@ func TestPLpgSQLControlFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsOf(t, e, "SELECT collatz(27)"); got != "111" {
+	if got := rowsOf(t, s, "SELECT collatz(27)"); got != "111" {
 		t.Errorf("collatz(27) = %q, want 111", got)
 	}
-	if got := rowsOf(t, e, "SELECT skipper()"); got != "25" {
+	if got := rowsOf(t, s, "SELECT skipper()"); got != "25" {
 		t.Errorf("skipper() = %q, want 25", got)
 	}
-	if got := rowsOf(t, e, "SELECT rev()"); got != "54321" {
+	if got := rowsOf(t, s, "SELECT rev()"); got != "54321" {
 		t.Errorf("rev() = %q, want 54321", got)
 	}
 }
 
 func TestPLpgSQLRecursiveCall(t *testing.T) {
-	e := New()
-	err := e.Exec(`
+	s := New().NewSession()
+	err := s.Exec(`
 		CREATE FUNCTION factr(n int) RETURNS int AS $$
 		BEGIN
 		  IF n <= 1 THEN RETURN 1; END IF;
@@ -459,14 +460,14 @@ func TestPLpgSQLRecursiveCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsOf(t, e, "SELECT factr(6)"); got != "720" {
+	if got := rowsOf(t, s, "SELECT factr(6)"); got != "720" {
 		t.Errorf("factr(6) = %q", got)
 	}
 }
 
 func TestRaiseAndPerform(t *testing.T) {
-	e := New()
-	err := e.Exec(`
+	s := New().NewSession()
+	err := s.Exec(`
 		CREATE TABLE logt (x int);
 		CREATE FUNCTION noisy(n int) RETURNS int AS $$
 		BEGIN
@@ -479,67 +480,67 @@ func TestRaiseAndPerform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsOf(t, e, "SELECT noisy(7)"); got != "7" {
+	if got := rowsOf(t, s, "SELECT noisy(7)"); got != "7" {
 		t.Errorf("noisy(7) = %q", got)
 	}
-	if len(e.Counters().Notices) == 0 || !strings.Contains(e.Counters().Notices[0], "n is 7") {
-		t.Errorf("notices: %v", e.Counters().Notices)
+	if len(s.Counters().Notices) == 0 || !strings.Contains(s.Counters().Notices[0], "n is 7") {
+		t.Errorf("notices: %v", s.Counters().Notices)
 	}
-	if _, err := e.Query("SELECT noisy(-1)"); err == nil || !strings.Contains(err.Error(), "negative input") {
+	if _, err := s.Query("SELECT noisy(-1)"); err == nil || !strings.Contains(err.Error(), "negative input") {
 		t.Errorf("raise exception: %v", err)
 	}
 }
 
 func TestSQLLanguageFunction(t *testing.T) {
-	e := New()
-	err := e.Exec(`
+	s := New().NewSession()
+	err := s.Exec(`
 		CREATE FUNCTION add2(x int, y int) RETURNS int AS $$
 		  SELECT x + y
 		$$ LANGUAGE sql`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rowsOf(t, e, "SELECT add2(40, 2)"); got != "42" {
+	if got := rowsOf(t, s, "SELECT add2(40, 2)"); got != "42" {
 		t.Errorf("add2 = %q", got)
 	}
 }
 
 func TestSQLiteProfileRestrictions(t *testing.T) {
-	e := New(WithProfile(profile.SQLite))
-	err := e.Exec("CREATE FUNCTION f(n int) RETURNS int AS $$ BEGIN RETURN n; END; $$ LANGUAGE plpgsql")
+	s := New(WithProfile(profile.SQLite)).NewSession()
+	err := s.Exec("CREATE FUNCTION f(n int) RETURNS int AS $$ BEGIN RETURN n; END; $$ LANGUAGE plpgsql")
 	if err == nil || !strings.Contains(err.Error(), "no PL/SQL support") {
 		t.Errorf("sqlite must reject plpgsql: %v", err)
 	}
-	if err := e.Exec("CREATE TABLE t (a int); INSERT INTO t VALUES (1)"); err != nil {
+	if err := s.Exec("CREATE TABLE t (a int); INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.Query("SELECT * FROM t, LATERAL (SELECT t.a + 1) AS x(b)")
+	_, err = s.Query("SELECT * FROM t, LATERAL (SELECT t.a + 1) AS x(b)")
 	if err == nil || !strings.Contains(err.Error(), "LATERAL") {
 		t.Errorf("sqlite must reject LATERAL: %v", err)
 	}
 	// The nested-derived-table rewrite shape works.
-	if got := rowsOf(t, e, "SELECT b FROM (SELECT inner1.*, a + 1 AS b FROM (SELECT a FROM t) AS inner1) AS outer1"); got != "2" {
+	if got := rowsOf(t, s, "SELECT b FROM (SELECT inner1.*, a + 1 AS b FROM (SELECT a FROM t) AS inner1) AS outer1"); got != "2" {
 		t.Errorf("nested rewrite: %q", got)
 	}
 }
 
 func TestDeterministicRandom(t *testing.T) {
-	e := New(WithSeed(7))
-	a := rowsOf(t, e, "SELECT random()")
-	e.Seed(7)
-	b := rowsOf(t, e, "SELECT random()")
+	s := New(WithSeed(7)).NewSession()
+	a := rowsOf(t, s, "SELECT random()")
+	s.Seed(7)
+	b := rowsOf(t, s, "SELECT random()")
 	if a != b {
 		t.Errorf("same seed must give same stream: %q vs %q", a, b)
 	}
-	c := rowsOf(t, e, "SELECT random()")
+	c := rowsOf(t, s, "SELECT random()")
 	if b == c {
 		t.Errorf("stream must advance: %q vs %q", b, c)
 	}
 }
 
 func TestQueryErrors(t *testing.T) {
-	e := New()
-	setupBasicTables(t, e)
+	s := New().NewSession()
+	setupBasicTables(t, s)
 	bad := []string{
 		"SELECT nosuch FROM t",
 		"SELECT * FROM nosuch",
@@ -552,16 +553,16 @@ func TestQueryErrors(t *testing.T) {
 		"SELECT a FROM t WHERE a = 'x'", // type mismatch in comparison
 	}
 	for _, sql := range bad {
-		if _, err := e.Query(sql); err == nil {
+		if _, err := s.Query(sql); err == nil {
 			t.Errorf("Query(%q) should error", sql)
 		}
 	}
 }
 
 func TestResultFormat(t *testing.T) {
-	e := New()
-	setupBasicTables(t, e)
-	res, err := e.Query("SELECT a, b FROM t ORDER BY a, b LIMIT 2")
+	s := New().NewSession()
+	setupBasicTables(t, s)
+	res, err := s.Query("SELECT a, b FROM t ORDER BY a, b LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 func newInlineTestEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New(WithSeed(42))
+	s := e.NewSession()
 	script := `
 CREATE TABLE seq (n int);
 CREATE TABLE policy (loc coord, action text);
@@ -25,21 +26,21 @@ CREATE TABLE fsm (state int, class int, next int);
 CREATE FUNCTION inc(a int) RETURNS int AS $$ SELECT a + 1 $$ LANGUAGE sql;
 CREATE FUNCTION tag(a int) RETURNS text AS $$ SELECT 'n=' || a $$ LANGUAGE sql;
 `
-	if err := e.Exec(script); err != nil {
+	if err := s.Exec(script); err != nil {
 		t.Fatal(err)
 	}
 	var rows []string
 	for i := 1; i <= 30; i++ {
 		rows = append(rows, "("+sqltypes.NewInt(int64(i)).String()+")")
 	}
-	if err := e.Exec("INSERT INTO seq VALUES " + strings.Join(rows, ", ")); err != nil {
+	if err := s.Exec("INSERT INTO seq VALUES " + strings.Join(rows, ", ")); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Exec(`INSERT INTO policy VALUES
+	if err := s.Exec(`INSERT INTO policy VALUES
 		(coord(0, 0), 'up'), (coord(0, 1), 'down'), (coord(1, 0), 'left'), (coord(1, 1), 'right')`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Exec(`INSERT INTO fsm VALUES (0, 1, 1), (0, 2, 2), (1, 1, 0), (1, 2, 2), (2, 1, 2), (2, 2, 0)`); err != nil {
+	if err := s.Exec(`INSERT INTO fsm VALUES (0, 1, 1), (0, 2, 2), (1, 1, 0), (1, 2, 2), (2, 1, 2), (2, 2, 0)`); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -48,13 +49,13 @@ CREATE FUNCTION tag(a int) RETURNS text AS $$ SELECT 'n=' || a $$ LANGUAGE sql;
 // installCompiledLookup compiles the PL/pgSQL source through the full
 // pipeline and installs the result, the same path the bench harness and
 // the wire DDL use.
-func installCompiledLookup(t *testing.T, e *Engine, src string) {
+func installCompiledLookup(t *testing.T, s *Session, src string) {
 	t.Helper()
 	res, err := core.Compile(src, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.InstallCompiled(res.Function.Name, res.Params, res.ReturnType, res.Query); err != nil {
+	if err := s.InstallCompiled(res.Function.Name, res.Params, res.ReturnType, res.Query); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -73,9 +74,9 @@ BEGIN
 END
 $$ LANGUAGE plpgsql;`
 
-func renderRows(t *testing.T, e *Engine, sql string) string {
+func renderRows(t *testing.T, s *Session, sql string) string {
 	t.Helper()
-	r, err := e.Query(sql)
+	r, err := s.Query(sql)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -95,9 +96,9 @@ func renderRows(t *testing.T, e *Engine, sql string) string {
 // TestInlinedVsOpaqueDifferential runs every query shape the inliner
 // handles under both regimes and requires byte-identical results.
 func TestInlinedVsOpaqueDifferential(t *testing.T) {
-	e := newInlineTestEngine(t)
-	installCompiledLookup(t, e, testActionOf)
-	installCompiledLookup(t, e, testFSMNext)
+	s := newInlineTestEngine(t).NewSession()
+	installCompiledLookup(t, s, testActionOf)
+	installCompiledLookup(t, s, testFSMNext)
 
 	queries := []string{
 		// Trivial bodies in the select list, WHERE, aggregates, nesting.
@@ -117,11 +118,11 @@ func TestInlinedVsOpaqueDifferential(t *testing.T) {
 		"SELECT n, fsm_next(n % 3, n % 2 + 1) FROM seq WHERE fsm_next(n % 3, n % 2 + 1) = 2 ORDER BY n",
 	}
 	for _, q := range queries {
-		e.SetInlining(true)
-		inlined := renderRows(t, e, q)
-		e.SetInlining(false)
-		opaque := renderRows(t, e, q)
-		e.SetInlining(true)
+		s.SetInlining(true)
+		inlined := renderRows(t, s, q)
+		s.SetInlining(false)
+		opaque := renderRows(t, s, q)
+		s.SetInlining(true)
 		if inlined != opaque {
 			t.Errorf("%s:\ninlined:\n%s\nopaque:\n%s", q, inlined, opaque)
 		}
@@ -133,25 +134,25 @@ func TestInlinedVsOpaqueDifferential(t *testing.T) {
 // order), so results under a fixed seed are identical whether planner
 // inlining is on or off.
 func TestVolatileUDFStaysOpaque(t *testing.T) {
-	e := newInlineTestEngine(t)
-	if err := e.Exec("CREATE FUNCTION noisy(a int) RETURNS float AS $$ SELECT random() + a $$ LANGUAGE sql"); err != nil {
+	s := newInlineTestEngine(t).NewSession()
+	if err := s.Exec("CREATE FUNCTION noisy(a int) RETURNS float AS $$ SELECT random() + a $$ LANGUAGE sql"); err != nil {
 		t.Fatal(err)
 	}
 	q := "SELECT noisy(n) FROM seq WHERE n <= 5"
 	draw := func(inline bool) string {
-		e.SetInlining(inline)
-		defer e.SetInlining(true)
-		if _, err := e.Query("SELECT setseed(0.42)"); err != nil {
+		s.SetInlining(inline)
+		defer s.SetInlining(true)
+		if _, err := s.Query("SELECT setseed(0.42)"); err != nil {
 			t.Fatal(err)
 		}
-		return renderRows(t, e, q)
+		return renderRows(t, s, q)
 	}
 	on, off := draw(true), draw(false)
 	if on != off {
 		t.Errorf("volatile draw order differs between inlining regimes:\non:\n%s\noff:\n%s", on, off)
 	}
 	// The plan keeps the opaque call either way.
-	ex := renderRows(t, e, "EXPLAIN "+q)
+	ex := renderRows(t, s, "EXPLAIN "+q)
 	if !strings.Contains(ex, "udf:noisy") {
 		t.Errorf("volatile call should stay opaque in the plan:\n%s", ex)
 	}
@@ -164,9 +165,9 @@ func TestVolatileUDFStaysOpaque(t *testing.T) {
 // invalidation on CREATE OR REPLACE FUNCTION / DROP FUNCTION: a cached plan
 // with an inlined body must not survive the function changing under it.
 func TestRedefineInvalidatesInlinedPlan(t *testing.T) {
-	e := newInlineTestEngine(t)
+	s := newInlineTestEngine(t).NewSession()
 	q := "SELECT sum(inc(n)) FROM seq"
-	v, err := e.QueryValue(q)
+	v, err := s.QueryValue(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +175,10 @@ func TestRedefineInvalidatesInlinedPlan(t *testing.T) {
 		t.Fatalf("before redefine: %s", v)
 	}
 	// Redefine mid-session: the cached inlined plan must be dropped.
-	if err := e.Exec("CREATE OR REPLACE FUNCTION inc(a int) RETURNS int AS $$ SELECT a + 100 $$ LANGUAGE sql"); err != nil {
+	if err := s.Exec("CREATE OR REPLACE FUNCTION inc(a int) RETURNS int AS $$ SELECT a + 100 $$ LANGUAGE sql"); err != nil {
 		t.Fatal(err)
 	}
-	v, err = e.QueryValue(q)
+	v, err = s.QueryValue(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +186,9 @@ func TestRedefineInvalidatesInlinedPlan(t *testing.T) {
 		t.Errorf("after redefine: got %s, want 3465 (stale inlined plan served?)", v)
 	}
 	// Same differential under the opaque regime: both paths must see v2.
-	e.SetInlining(false)
-	v, err = e.QueryValue(q)
-	e.SetInlining(true)
+	s.SetInlining(false)
+	v, err = s.QueryValue(q)
+	s.SetInlining(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +196,10 @@ func TestRedefineInvalidatesInlinedPlan(t *testing.T) {
 		t.Errorf("opaque after redefine: got %s, want 3465", v)
 	}
 	// Dropping the function must invalidate too, not serve the stale plan.
-	if err := e.Exec("DROP FUNCTION inc"); err != nil {
+	if err := s.Exec("DROP FUNCTION inc"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(q); err == nil {
+	if _, err := s.Query(q); err == nil {
 		t.Error("query referencing dropped function succeeded (stale plan served)")
 	}
 }
@@ -208,8 +209,8 @@ func TestRedefineInvalidatesInlinedPlan(t *testing.T) {
 // left single-row hash join with a static build side — and the opaque
 // regime keeps the call visible.
 func TestExplainGoldenInlineDecorrelation(t *testing.T) {
-	e := newInlineTestEngine(t)
-	installCompiledLookup(t, e, testActionOf)
+	s := newInlineTestEngine(t).NewSession()
+	installCompiledLookup(t, s, testActionOf)
 	q := "EXPLAIN SELECT count(action_of(coord(n % 2, n % 2))) FROM seq"
 
 	want := strings.TrimLeft(`
@@ -221,19 +222,19 @@ Project [#0]
       Project [#1, #0]
         SeqScan policy
 `, "\n")
-	if got := renderRows(t, e, q); got != want {
+	if got := renderRows(t, s, q); got != want {
 		t.Errorf("inlined EXPLAIN:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
-	e.SetInlining(false)
-	defer e.SetInlining(true)
+	s.SetInlining(false)
+	defer s.SetInlining(true)
 	wantOpaque := strings.TrimLeft(`
 Plan (nodes=3 inlined=0 specialized=0 looped=0)
 Project [#0]
   Agg [count(udf:action_of[coord[(#0 % 2), (#0 % 2)]])]
     SeqScan seq
 `, "\n")
-	if got := renderRows(t, e, q); got != wantOpaque {
+	if got := renderRows(t, s, q); got != wantOpaque {
 		t.Errorf("opaque EXPLAIN:\ngot:\n%s\nwant:\n%s", got, wantOpaque)
 	}
 }

@@ -24,13 +24,14 @@ var quartet = []string{"walk", "parse", "traverse", "fibonacci"}
 func newQuartetEngine(t testing.TB, opts ...Option) *Engine {
 	t.Helper()
 	e := New(append([]Option{WithSeed(42)}, opts...)...)
-	if err := workload.NewRobotWorld(5, 5, 7).Install(e); err != nil {
+	s := e.NewSession()
+	if err := workload.NewRobotWorld(5, 5, 7).Install(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.InstallFSM(e); err != nil {
+	if err := workload.InstallFSM(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.InstallGraph(e, 256, 3); err != nil {
+	if err := workload.InstallGraph(s, 256, 3); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range quartet {
@@ -39,7 +40,7 @@ func newQuartetEngine(t testing.TB, opts ...Option) *Engine {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.InstallCompiled(name+sfx, res.Params, res.ReturnType, res.Query); err != nil {
+			if err := s.InstallCompiled(name+sfx, res.Params, res.ReturnType, res.Query); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -224,18 +224,17 @@ func mustValue(t *testing.T) func(sqltypes.Value, error) sqltypes.Value {
 // 4096-node graph, so its min(dst) lookup almost never repeats a key and
 // every evaluation is a miss. It must cost what the unmemoised loop costs.
 func BenchmarkTraverseCompiled(b *testing.B) {
-	e := New(WithSeed(42))
-	if err := workload.InstallGraph(e, 4096, 3); err != nil {
+	s := New(WithSeed(42)).NewSession()
+	if err := workload.InstallGraph(s, 4096, 3); err != nil {
 		b.Fatal(err)
 	}
 	res, err := core.Compile(workload.Corpus["traverse"], core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := e.InstallCompiled("traverse_c", res.Params, res.ReturnType, res.Query); err != nil {
+	if err := s.InstallCompiled("traverse_c", res.Params, res.ReturnType, res.Query); err != nil {
 		b.Fatal(err)
 	}
-	s := e.NewSession()
 	prep, err := s.Prepare("SELECT traverse_c($1, $2)")
 	if err != nil {
 		b.Fatal(err)

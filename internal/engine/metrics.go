@@ -47,7 +47,7 @@ type metrics struct {
 // nothing. Registration is upsert: several engines may share one registry
 // (the bench harness does), with counters/histograms accumulating across
 // them and Func collectors rebinding to the latest engine.
-func newMetrics(reg *obs.Registry, sh *shared) *metrics {
+func newMetrics(reg *obs.Registry, e *Engine) *metrics {
 	m := &metrics{
 		reg:             reg,
 		statements:      reg.Counter("plsql_engine_statements_total", "Statements executed (all kinds)."),
@@ -65,7 +65,7 @@ func newMetrics(reg *obs.Registry, sh *shared) *metrics {
 	m.phaseExec = phases.With("exec")
 	m.phaseCommit = phases.With("commit")
 
-	st := sh.storageStats
+	st := e.storageStats
 	stat := func(name, help string, field *int64) {
 		reg.CounterFunc(name, help, func() int64 { return atomic.LoadInt64(field) })
 	}
@@ -81,7 +81,7 @@ func newMetrics(reg *obs.Registry, sh *shared) *metrics {
 	stat("plsql_wal_fsyncs_total", "Fsyncs issued against the log.", &st.WALFsyncs)
 	stat("plsql_storage_checkpoints_total", "Checkpoint snapshots written.", &st.Checkpoints)
 
-	cache := sh.cache
+	cache := e.cache
 	reg.CounterFunc("plsql_plan_cache_hits_total", "Plan cache hits.", func() int64 { h, _ := cache.Stats(); return h })
 	reg.CounterFunc("plsql_plan_cache_misses_total", "Plan cache misses.", func() int64 { _, mi := cache.Stats(); return mi })
 	reg.CounterFunc("plsql_plan_cache_evictions_total", "Plans evicted (capacity or DDL invalidation).", func() int64 { _, _, ev := cache.InlineStats(); return ev })
@@ -90,7 +90,7 @@ func newMetrics(reg *obs.Registry, sh *shared) *metrics {
 	reg.CounterFunc("plsql_plan_loops_lowered_total", "Recursive CTEs lowered to Loop operators.", cache.LoopStats)
 	reg.GaugeFunc("plsql_plan_cache_size", "Plans currently cached.", func() int64 { return int64(cache.Len()) })
 
-	ex := &sh.execStats
+	ex := &e.execStats
 	reg.CounterFunc("plsql_exec_memo_hits_total", "Loop subplan evaluations replayed from a memo.", ex.MemoHits.Load)
 	reg.CounterFunc("plsql_exec_memo_misses_total", "Loop subplan evaluations that ran under a memo.", ex.MemoMisses.Load)
 	reg.CounterFunc("plsql_exec_trees_built_total", "Executor trees instantiated from a plan.", ex.TreesBuilt.Load)
@@ -186,23 +186,23 @@ func (s *Session) notePlan(p *plan.Plan) { s.lastPlan = p }
 
 // noteCommitPhase charges commit-protocol wall time (lock + log append +
 // durability wait) to the commit phase bucket.
-func (sh *shared) noteCommitPhase(d time.Duration) {
-	if m := sh.metrics; m != nil {
+func (e *Engine) noteCommitPhase(d time.Duration) {
+	if m := e.metrics; m != nil {
 		m.phaseCommit.Add(d.Nanoseconds())
 	}
 }
 
 // noteConflict counts one serialization failure.
-func (sh *shared) noteConflict() {
-	if m := sh.metrics; m != nil {
+func (e *Engine) noteConflict() {
+	if m := e.metrics; m != nil {
 		m.conflicts.Inc()
 	}
 }
 
 // noteCheckpoint counts one completed checkpoint under its trigger
 // reason.
-func (sh *shared) noteCheckpoint(reason string) {
-	if m := sh.metrics; m != nil {
+func (e *Engine) noteCheckpoint(reason string) {
+	if m := e.metrics; m != nil {
 		m.checkpoints.With(reason).Inc()
 	}
 }
@@ -212,24 +212,24 @@ func (sh *shared) noteCheckpoint(reason string) {
 // takes it itself), it checkpoints when the log has outgrown the
 // configured bound. The CAS gate keeps concurrent committers from
 // stacking up redundant checkpoints behind the lock.
-func (sh *shared) maybeAutoCheckpoint() {
-	limit := sh.checkpointBytes
-	if limit <= 0 || sh.wal == nil || sh.wal.Size() < limit {
+func (e *Engine) maybeAutoCheckpoint() {
+	limit := e.checkpointBytes
+	if limit <= 0 || e.wal == nil || e.wal.Size() < limit {
 		return
 	}
-	if !sh.checkpointing.CompareAndSwap(false, true) {
+	if !e.checkpointing.CompareAndSwap(false, true) {
 		return
 	}
-	defer sh.checkpointing.Store(false)
-	if err := sh.checkpoint("size"); err != nil && sh.logf != nil {
-		sh.logf("auto-checkpoint failed: %v", err)
+	defer e.checkpointing.Store(false)
+	if err := e.checkpoint("size"); err != nil && e.logf != nil {
+		e.logf("auto-checkpoint failed: %v", err)
 	}
 }
 
 // walObservers returns the fsync-latency / group-commit observers to hand
 // wal.Open, or nils when metrics are off.
-func (sh *shared) walObservers() (fsync func(float64), batch func(int64)) {
-	m := sh.metrics
+func (e *Engine) walObservers() (fsync func(float64), batch func(int64)) {
+	m := e.metrics
 	if m == nil {
 		return nil, nil
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // fillTable creates kv-style table name with n rows (k = 0..n-1, v = k).
-func fillTable(t *testing.T, e *Engine, name string, n int) {
+func fillTable(t *testing.T, s *Session, name string, n int) {
 	t.Helper()
-	if err := e.Exec(fmt.Sprintf("CREATE TABLE %s (k int, v int)", name)); err != nil {
+	if err := s.Exec(fmt.Sprintf("CREATE TABLE %s (k int, v int)", name)); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -25,7 +25,7 @@ func fillTable(t *testing.T, e *Engine, name string, n int) {
 			fmt.Fprintf(&sb, "(%d, %d)", base, base)
 			base++
 		}
-		if err := e.Exec(sb.String()); err != nil {
+		if err := s.Exec(sb.String()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,9 +37,8 @@ func fillTable(t *testing.T, e *Engine, name string, n int) {
 // pre-MVCC Heap.Replace path rewrote every row, allocating O(rows).)
 func TestUpdateNoMatchAllocs(t *testing.T) {
 	measure := func(n int, stmt string) float64 {
-		e := New()
-		fillTable(t, e, "big", n)
-		s := e.NewSession()
+		s := New().NewSession()
+		fillTable(t, s, "big", n)
 		p, err := s.Prepare(stmt)
 		if err != nil {
 			t.Fatal(err)
@@ -73,13 +72,14 @@ func TestUpdateNoMatchAllocs(t *testing.T) {
 // snapshot caches and hash indexes stay warm.
 func TestUpdateNoMatchNoCommit(t *testing.T) {
 	e := New()
-	fillTable(t, e, "quiet", 100)
+	s := e.NewSession()
+	fillTable(t, s, "quiet", 100)
 	tbl, ok := e.Catalog().Table("quiet")
 	if !ok {
 		t.Fatal("table missing")
 	}
 	gen := tbl.Heap.Gen()
-	if err := e.Exec("UPDATE quiet SET v = 0 WHERE k = -5; DELETE FROM quiet WHERE k = -5"); err != nil {
+	if err := s.Exec("UPDATE quiet SET v = 0 WHERE k = -5; DELETE FROM quiet WHERE k = -5"); err != nil {
 		t.Fatal(err)
 	}
 	if got := tbl.Heap.Gen(); got != gen {
@@ -92,8 +92,8 @@ func TestUpdateNoMatchNoCommit(t *testing.T) {
 // the opportunistic vacuum is actually reclaiming.
 func TestVacuumBoundsDeadVersions(t *testing.T) {
 	e := New()
-	fillTable(t, e, "churn", 200)
 	s := e.NewSession()
+	fillTable(t, s, "churn", 200)
 	p, err := s.Prepare("UPDATE churn SET v = v + 1 WHERE k = $1")
 	if err != nil {
 		t.Fatal(err)

@@ -43,6 +43,7 @@ SELECT s.acc FROM st AS s WHERE NOT s.go_on`, "Memo ["},
 func newPoolEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New(WithSeed(42))
+	s := e.NewSession()
 	script := []string{
 		"CREATE TABLE a (k int, v int)",
 		"CREATE TABLE b (k int, w int)",
@@ -60,7 +61,7 @@ func newPoolEngine(t *testing.T) *Engine {
 		script = append(script, fmt.Sprintf("CREATE FUNCTION pool_q%d() RETURNS int AS $$ BEGIN RETURN (%s); END; $$ LANGUAGE plpgsql", i, sh.sql))
 	}
 	for _, q := range script {
-		if err := e.Exec(q); err != nil {
+		if err := s.Exec(q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
@@ -100,7 +101,7 @@ func freshValue(t *testing.T, s *Session, sql string) sqltypes.Value {
 func TestPoolRunSeesItsOwnSnapshot(t *testing.T) {
 	e := newPoolEngine(t)
 	s, other := e.NewSession(), e.NewSession()
-	stats := &e.sh.execStats
+	stats := &e.execStats
 	next := 100
 	insert := func() string {
 		next++
@@ -251,7 +252,7 @@ func TestPoolSetBatchSizeBetweenRuns(t *testing.T) {
 	if err := s.Exec("INSERT INTO a VALUES " + strings.Join(rows, ", ")); err != nil {
 		t.Fatal(err)
 	}
-	stats := &e.sh.execStats
+	stats := &e.execStats
 	queries := []string{
 		"SELECT a.k, a.v FROM a ORDER BY a.k",
 		"SELECT a.k, b.w FROM a, b WHERE a.k = b.k ORDER BY a.k",
@@ -439,9 +440,9 @@ func TestPoolSecondPreparedRunAllocs(t *testing.T) {
 	}
 	run()
 	run()
-	built := e.sh.execStats.TreesBuilt.Load()
+	built := e.execStats.TreesBuilt.Load()
 	allocs := testing.AllocsPerRun(100, run)
-	if e.sh.execStats.TreesBuilt.Load() != built {
+	if e.execStats.TreesBuilt.Load() != built {
 		t.Fatal("a run after the second built a tree")
 	}
 	if allocs > 12 {

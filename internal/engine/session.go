@@ -26,7 +26,7 @@ import (
 // counters, its PL/pgSQL interpreter state, and its prepared statements.
 // A Session must be used from one goroutine at a time.
 type Session struct {
-	sh *shared
+	sh *Engine
 
 	rng      *exec.Rand
 	counters *profile.Counters
@@ -87,16 +87,16 @@ type snapshot struct {
 }
 
 // newSession wires a session to the shared core.
-func newSession(sh *shared) *Session {
+func newSession(e *Engine) *Session {
 	s := &Session{
-		sh:       sh,
-		rng:      exec.NewRand(sh.seed),
+		sh:       e,
+		rng:      exec.NewRand(e.seed),
 		counters: &profile.Counters{},
 	}
 	s.callFn = s.callFunction
 	s.overlay = func(h *storage.Heap) *storage.HeapOverlay { return s.txn.writes[h] }
-	s.interp = plinterp.New(sh.state.Load().cat, sh.cache, s.counters, s.newCtx, &s.pool)
-	s.interp.Profile = sh.prof
+	s.interp = plinterp.New(e.state.Load().cat, e.cache, s.counters, s.newCtx, &s.pool)
+	s.interp.Profile = e.prof
 	return s
 }
 
@@ -116,7 +116,7 @@ func (s *Session) bindCtx(ctx *exec.Ctx) {
 		Rand:         s.rng,
 		StorageStats: s.sh.storageStats,
 		Stats:        &s.sh.execStats,
-		WorkMem:      s.sh.workMem,
+		WorkMem:      storage.DefaultWorkMem,
 		MaxRecursion: s.sh.maxRecursion,
 		MaxCallDepth: s.sh.maxCallDepth,
 		CallFn:       s.callFn,
@@ -186,9 +186,6 @@ func (s *Session) Interp() *plinterp.Interpreter { return s.interp }
 
 // Catalog exposes the currently published catalog snapshot.
 func (s *Session) Catalog() *catalog.Catalog { return s.sh.state.Load().cat }
-
-// Profile reports the engine profile this session runs under.
-func (s *Session) Profile() profile.Profile { return s.sh.prof }
 
 // StorageStats exposes the engine-wide storage counters (shared by all
 // sessions). The wire protocol's stats frame reads them through this
@@ -1055,11 +1052,11 @@ func applyCreateTable(cat *catalog.Catalog, stmt *sqlast.CreateTable) error {
 
 // applyCreateFunction applies a CREATE FUNCTION statement to cat —
 // shared by the statement dispatch and WAL replay.
-func applyCreateFunction(cat *catalog.Catalog, sh *shared, stmt *sqlast.CreateFunction) error {
+func applyCreateFunction(cat *catalog.Catalog, e *Engine, stmt *sqlast.CreateFunction) error {
 	switch strings.ToLower(stmt.Language) {
 	case "plpgsql":
-		if !sh.prof.AllowPLpgSQL {
-			return fmt.Errorf("engine: %s has no PL/SQL support — compile the function away instead (paper §3)", sh.prof.Name)
+		if !e.prof.AllowPLpgSQL {
+			return fmt.Errorf("engine: %s has no PL/SQL support — compile the function away instead (paper §3)", e.prof.Name)
 		}
 		f, err := plparser.ParseFunction(stmt)
 		if err != nil {

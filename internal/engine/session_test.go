@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync"
 	"testing"
 
 	"plsqlaway/internal/sqltypes"
@@ -11,12 +10,12 @@ import (
 // random streams and counters.
 func TestSessionIsolation(t *testing.T) {
 	e := New(WithSeed(42))
-	if err := e.Exec("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2), (3)"); err != nil {
+	s1, s2 := e.NewSession(), e.NewSession()
+	if err := s1.Exec("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
-	s1, s2 := e.NewSession(), e.NewSession()
 
-	// Shared schema: both sessions see the facade's table.
+	// Shared schema: both sessions see s1's table.
 	for i, s := range []*Session{s1, s2} {
 		v, err := s.QueryValue("SELECT sum(a) FROM t")
 		if err != nil || v.Int() != 6 {
@@ -65,11 +64,10 @@ func TestSessionDDLVisibility(t *testing.T) {
 // TestPreparedStatement covers the prepared path: reads, parameter
 // binding, DML, and replanning after DDL invalidates the cached plan.
 func TestPreparedStatement(t *testing.T) {
-	e := New()
-	if err := e.Exec("CREATE TABLE kv (k int, v int); INSERT INTO kv VALUES (1, 10), (2, 20)"); err != nil {
+	s := New().NewSession()
+	if err := s.Exec("CREATE TABLE kv (k int, v int); INSERT INTO kv VALUES (1, 10), (2, 20)"); err != nil {
 		t.Fatal(err)
 	}
-	s := e.NewSession()
 
 	q, err := s.Prepare("SELECT v FROM kv WHERE k = $1")
 	if err != nil {
@@ -113,7 +111,8 @@ func TestPreparedStatement(t *testing.T) {
 // correctly regardless of which session compiled first.
 func TestInterpPlanCacheCrossSession(t *testing.T) {
 	e := New()
-	if err := e.Exec(`
+	s := e.NewSession()
+	if err := s.Exec(`
 		CREATE TABLE t (v int);
 		INSERT INTO t VALUES (1), (2), (3);
 		CREATE FUNCTION pick(b int) RETURNS int AS $$
@@ -144,27 +143,4 @@ func TestInterpPlanCacheCrossSession(t *testing.T) {
 	if v, err := s4.QueryValue("SELECT pick(1)"); err != nil || v.Int() != 6 {
 		t.Fatalf("s4 pick(1) = %v, %v; want 6", v, err)
 	}
-}
-
-// TestFacadeSerializesConcurrentCallers: the compatibility facade must
-// stay safe when hammered concurrently without explicit sessions.
-func TestFacadeSerializesConcurrentCallers(t *testing.T) {
-	e := New()
-	if err := e.Exec("CREATE TABLE n (x int); INSERT INTO n VALUES (1)"); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				if _, err := e.Query("SELECT x + 1 FROM n"); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

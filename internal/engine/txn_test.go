@@ -341,8 +341,9 @@ func TestTxnConcurrentTransfers(t *testing.T) {
 // see must survive any vacuum triggered by later commits.
 func TestTxnPinBlocksVacuum(t *testing.T) {
 	e := New()
+	s := e.NewSession()
 	setup := e.NewSession()
-	fillTable(t, e, "kv", 256)
+	fillTable(t, s, "kv", 256)
 
 	reader := e.NewSession()
 	mustExec(t, reader, "BEGIN")
@@ -438,7 +439,8 @@ func TestTxnSessionReset(t *testing.T) {
 // beginRead, so it sees exactly what the last statement left behind.
 func TestInterpCatalogTracksDDL(t *testing.T) {
 	e := New()
-	if err := e.Exec(`
+	s := e.NewSession()
+	if err := s.Exec(`
 		CREATE FUNCTION counts() RETURNS int AS $$
 		DECLARE n int;
 		BEGIN
@@ -452,7 +454,7 @@ func TestInterpCatalogTracksDDL(t *testing.T) {
 	// statement: its commit publishes a new catalog, but the statement's
 	// own pinned snapshot predates the table. The old code left the
 	// interpreter bound to that stale pin.
-	if err := e.Exec("CREATE TABLE late_table (x int)"); err != nil {
+	if err := s.Exec("CREATE TABLE late_table (x int)"); err != nil {
 		t.Fatal(err)
 	}
 	fn, ok := e.Catalog().Function("counts")
@@ -461,7 +463,7 @@ func TestInterpCatalogTracksDDL(t *testing.T) {
 	}
 	// Direct interpreter call — no beginRead re-pin on this path. With
 	// the stale catalog this fails "relation late_table does not exist".
-	v, err := e.Interp().Call(fn.PL, nil)
+	v, err := s.Interp().Call(fn.PL, nil)
 	if err != nil {
 		t.Fatalf("interpreted call after DDL: %v", err)
 	}

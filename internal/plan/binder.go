@@ -22,9 +22,6 @@ type Options struct {
 	// DisableLateral rejects LATERAL subqueries — the SQLite dialect of the
 	// paper's §3, which forced the syntactic rewrite we also implement.
 	DisableLateral bool
-	// WorkMem bounds CTE materialization memory before spilling (bytes);
-	// 0 selects storage.DefaultWorkMem.
-	WorkMem int
 	// NoHashJoin disables the nest-loop → hash-join rewrite (ablations and
 	// differential tests that pin the Volcano join shape).
 	NoHashJoin bool

@@ -36,10 +36,11 @@ func loopSubplans(explained string) string {
 // scan, keyed on the state alone. fibonacci has no embedded query.
 func TestMemoPlacementOfTheQuartet(t *testing.T) {
 	e := engine.New(engine.WithSeed(42))
+	s := e.NewSession()
 	for _, install := range []func() error{
-		func() error { return workload.NewRobotWorld(5, 5, 7).Install(e) },
-		func() error { return workload.InstallFSM(e) },
-		func() error { return workload.InstallGraph(e, 256, 3) },
+		func() error { return workload.NewRobotWorld(5, 5, 7).Install(s) },
+		func() error { return workload.InstallFSM(s) },
+		func() error { return workload.InstallGraph(s, 256, 3) },
 	} {
 		if err := install(); err != nil {
 			t.Fatal(err)

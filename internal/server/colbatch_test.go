@@ -48,7 +48,8 @@ func wireRows(t *testing.T, br *bufio.Reader) [][]sqltypes.Value {
 // frame and through Parse + Execute alike.
 func TestColBatchEncoderKinds(t *testing.T) {
 	e := engine.New(engine.WithSeed(42))
-	if err := e.Exec(`CREATE TABLE tn (k int, i int, f float, s text);
+	s := e.NewSession()
+	if err := s.Exec(`CREATE TABLE tn (k int, i int, f float, s text);
 		INSERT INTO tn VALUES (1, 10, 1.5, 'a'), (2, NULL, 2.5, 'b'), (3, 30, NULL, 'c'),
 			(4, 40, 4.5, NULL), (5, NULL, NULL, NULL), (6, 60, -0.0, '')`); err != nil {
 		t.Fatal(err)

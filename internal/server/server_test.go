@@ -323,11 +323,12 @@ func drain(t *testing.T, br *bufio.Reader) response {
 func TestEveryShapeOneResultPath(t *testing.T) {
 	// Batch size 16 makes "wider than one batch" cheap to reach.
 	e := engine.New(engine.WithSeed(42), engine.WithBatchSize(16))
+	s := e.NewSession()
 	var vals []string
 	for i := 1; i <= 100; i++ {
 		vals = append(vals, fmt.Sprintf("(%d)", i))
 	}
-	if err := e.Exec("CREATE TABLE seq (n int); CREATE TABLE sink (x int); INSERT INTO seq VALUES " + strings.Join(vals, ", ")); err != nil {
+	if err := s.Exec("CREATE TABLE seq (n int); CREATE TABLE sink (x int); INSERT INTO seq VALUES " + strings.Join(vals, ", ")); err != nil {
 		t.Fatal(err)
 	}
 	_, addr := startEngine(t, e)

@@ -76,7 +76,7 @@ func TestStatsReplyCountsConnections(t *testing.T) {
 func TestServerTrafficMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := engine.New(engine.WithSeed(42), engine.WithMetricsRegistry(reg))
-	if err := e.Exec("CREATE TABLE t (n int); INSERT INTO t VALUES (1), (2), (3)"); err != nil {
+	if err := e.NewSession().Exec("CREATE TABLE t (n int); INSERT INTO t VALUES (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
 	srv, addr := startEngine(t, e)

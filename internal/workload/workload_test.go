@@ -85,21 +85,21 @@ func TestPolicyIsGreedyForValues(t *testing.T) {
 }
 
 func TestInstallTables(t *testing.T) {
-	e := engine.New()
+	s := engine.New().NewSession()
 	w := NewRobotWorld(4, 3, 7)
-	if err := w.Install(e); err != nil {
+	if err := w.Install(s); err != nil {
 		t.Fatal(err)
 	}
-	n, err := e.QueryValue("SELECT count(*) FROM cells")
+	n, err := s.QueryValue("SELECT count(*) FROM cells")
 	if err != nil || n.Int() != 12 {
 		t.Errorf("cells: %v %v", n, err)
 	}
-	n, _ = e.QueryValue("SELECT count(*) FROM policy")
+	n, _ = s.QueryValue("SELECT count(*) FROM policy")
 	if n.Int() != 12 {
 		t.Errorf("policy rows: %v", n)
 	}
 	// Every (here, action) group's probabilities sum to 1.
-	res, err := e.Query("SELECT sum(a.prob) FROM actions AS a GROUP BY a.here, a.action")
+	res, err := s.Query("SELECT sum(a.prob) FROM actions AS a GROUP BY a.here, a.action")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,30 +137,30 @@ func TestMakeParseInput(t *testing.T) {
 }
 
 func TestInstallFSMAndGraph(t *testing.T) {
-	e := engine.New()
-	if err := InstallFSM(e); err != nil {
+	s := engine.New().NewSession()
+	if err := InstallFSM(s); err != nil {
 		t.Fatal(err)
 	}
-	n, _ := e.QueryValue("SELECT count(*) FROM fsm")
+	n, _ := s.QueryValue("SELECT count(*) FROM fsm")
 	if n.Int() != 9 {
 		t.Errorf("fsm rows: %v", n)
 	}
-	if err := InstallGraph(e, 300, 3); err != nil {
+	if err := InstallGraph(s, 300, 3); err != nil {
 		t.Fatal(err)
 	}
 	// Sinks (multiples of 97 except 0) have no outgoing edges.
-	n, _ = e.QueryValue("SELECT count(*) FROM edges AS e WHERE e.src = 97")
+	n, _ = s.QueryValue("SELECT count(*) FROM edges AS e WHERE e.src = 97")
 	if n.Int() != 0 {
 		t.Errorf("node 97 should be a sink, has %v edges", n)
 	}
-	n, _ = e.QueryValue("SELECT count(*) FROM edges AS e WHERE e.dst >= 300")
+	n, _ = s.QueryValue("SELECT count(*) FROM edges AS e WHERE e.dst >= 300")
 	if n.Int() != 0 {
 		t.Errorf("%v edges point off graph", n)
 	}
-	if err := InstallFees(e); err != nil {
+	if err := InstallFees(s); err != nil {
 		t.Fatal(err)
 	}
-	n, _ = e.QueryValue("SELECT count(*) FROM fees")
+	n, _ = s.QueryValue("SELECT count(*) FROM fees")
 	if n.Int() != 3 {
 		t.Errorf("fees rows: %v", n)
 	}
@@ -168,8 +168,8 @@ func TestInstallFSMAndGraph(t *testing.T) {
 
 func TestCorpusAllInstallAndParse(t *testing.T) {
 	for name, src := range Corpus {
-		e := engine.New()
-		if err := e.Exec(src); err != nil {
+		s := engine.New().NewSession()
+		if err := s.Exec(src); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if !strings.Contains(src, "LANGUAGE") {
@@ -179,11 +179,11 @@ func TestCorpusAllInstallAndParse(t *testing.T) {
 }
 
 func TestParseFunctionSemantics(t *testing.T) {
-	e := engine.New()
-	if err := InstallFSM(e); err != nil {
+	s := engine.New().NewSession()
+	if err := InstallFSM(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Exec(ParseSrc); err != nil {
+	if err := s.Exec(ParseSrc); err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string]int64{
@@ -196,7 +196,7 @@ func TestParseFunctionSemantics(t *testing.T) {
 		"foo bar baz": 3,
 	}
 	for input, want := range cases {
-		got, err := e.QueryValue("SELECT parse($1)", sqltypes.NewText(input))
+		got, err := s.QueryValue("SELECT parse($1)", sqltypes.NewText(input))
 		if err != nil {
 			t.Fatalf("parse(%q): %v", input, err)
 		}

@@ -25,7 +25,8 @@ func TestMVCCRandomInterleavings(t *testing.T) {
 	const opsPerWriter = 50
 
 	e := plsqlaway.NewEngine()
-	if err := e.Exec("CREATE TABLE prop (wid int, seq int, gen int)"); err != nil {
+	setup := e.NewSession()
+	if err := setup.Exec("CREATE TABLE prop (wid int, seq int, gen int)"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,7 +162,7 @@ func TestMVCCRandomInterleavings(t *testing.T) {
 				gen++
 			}
 		}
-		res, err := e.Query("SELECT count(*), min(seq), max(seq), min(gen), max(gen) FROM prop WHERE wid = $1", plsqlaway.Int(int64(w)))
+		res, err := setup.Query("SELECT count(*), min(seq), max(seq), min(gen), max(gen) FROM prop WHERE wid = $1", plsqlaway.Int(int64(w)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +197,12 @@ func TestMVCCFirstUpdaterWins(t *testing.T) {
 	const rows = 4 // few rows + many writers = guaranteed overlap
 
 	e := plsqlaway.NewEngine()
-	if err := e.Exec("CREATE TABLE acc (k int, v int)"); err != nil {
+	setup := e.NewSession()
+	if err := setup.Exec("CREATE TABLE acc (k int, v int)"); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < rows; k++ {
-		if err := e.Exec(fmt.Sprintf("INSERT INTO acc VALUES (%d, 0)", k)); err != nil {
+		if err := setup.Exec(fmt.Sprintf("INSERT INTO acc VALUES (%d, 0)", k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +268,7 @@ func TestMVCCFirstUpdaterWins(t *testing.T) {
 		}
 	}
 
-	res, err := e.Query("SELECT sum(v) FROM acc")
+	res, err := setup.Query("SELECT sum(v) FROM acc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,21 +294,22 @@ func TestMVCCVacuumSavepoint(t *testing.T) {
 	const churnOps = 60
 
 	e := plsqlaway.NewEngine()
+	setup := e.NewSession()
 	for _, stmt := range []string{
 		"CREATE TABLE pin (k int, v int)",
 		"CREATE TABLE churn (k int, v int)",
 	} {
-		if err := e.Exec(stmt); err != nil {
+		if err := setup.Exec(stmt); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := 0; k < 8; k++ {
-		if err := e.Exec(fmt.Sprintf("INSERT INTO pin VALUES (%d, 0)", k)); err != nil {
+		if err := setup.Exec(fmt.Sprintf("INSERT INTO pin VALUES (%d, 0)", k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := 0; k < churners; k++ {
-		if err := e.Exec(fmt.Sprintf("INSERT INTO churn VALUES (%d, 0)", k)); err != nil {
+		if err := setup.Exec(fmt.Sprintf("INSERT INTO churn VALUES (%d, 0)", k)); err != nil {
 			t.Fatal(err)
 		}
 	}

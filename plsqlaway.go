@@ -11,24 +11,26 @@
 //     proposed WITH ITERATE extension;
 //   - the compiler (Compile) implementing the paper's pipeline
 //     PL/SQL → SSA → ANF → tail-recursive SQL UDF → WITH RECURSIVE;
-//   - glue (Install, InstallInterpreted) to register either form with an
-//     engine and compare them.
+//   - glue (Install) to register the compiled form next to the
+//     interpreted original, so a session can run and compare both.
 //
-// Quick start:
+// Quick start — every statement runs on a Session:
 //
 //	e := plsqlaway.NewEngine()
-//	e.Exec(`CREATE TABLE t (…)`)                 // schema
-//	e.Exec(fibSrc)                               // interpreted original
-//	res, _ := plsqlaway.Compile(fibSrc, plsqlaway.Options{})
-//	plsqlaway.Install(e, "fib_compiled", res)    // compiled twin
-//	v, _ := e.QueryValue("SELECT fib_compiled($1)", plsqlaway.Int(30))
-//
-// Concurrency: one engine serves many callers. The Engine methods above
-// are serialized onto a built-in session; for real parallelism give each
-// goroutine its own Session:
-//
 //	s := e.NewSession()
-//	go func() { v, _ := s.QueryValue("SELECT fib_compiled($1)", plsqlaway.Int(30)) … }()
+//	s.Exec(`CREATE TABLE t (…)`)                 // schema
+//	s.Exec(fibSrc)                               // interpreted original
+//	res, _ := plsqlaway.Compile(fibSrc, plsqlaway.Options{})
+//	plsqlaway.Install(s, "fib_compiled", res)    // compiled twin
+//	v, _ := s.QueryValue("SELECT fib_compiled($1)", plsqlaway.Int(30))
+//
+// Concurrency: one engine serves many callers, one session per
+// goroutine:
+//
+//	go func() {
+//		s := e.NewSession()
+//		v, _ := s.QueryValue("SELECT fib_compiled($1)", plsqlaway.Int(30)) …
+//	}()
 //
 // Sessions share the catalog, storage, and plan cache under snapshot
 // isolation with optimistic, first-updater-wins writes: readers never
@@ -46,18 +48,16 @@ package plsqlaway
 import (
 	"plsqlaway/internal/core"
 	"plsqlaway/internal/engine"
-	"plsqlaway/internal/plast"
 	"plsqlaway/internal/profile"
 	"plsqlaway/internal/server"
-	"plsqlaway/internal/sqlast"
 	"plsqlaway/internal/sqltypes"
 	"plsqlaway/internal/udf"
 	"plsqlaway/internal/wal"
 )
 
-// Engine is an embedded database instance. Its own query methods are safe
-// for concurrent use (serialized internally); NewSession hands out
-// independent sessions for parallel execution.
+// Engine is an embedded database instance: the catalog, storage, and plan
+// cache its sessions share. It runs no statements itself; NewSession
+// hands out the sessions that do, one per goroutine.
 type Engine = engine.Engine
 
 // Session is one caller's execution context on a shared engine: private
@@ -107,7 +107,7 @@ var (
 )
 
 // NewEngine creates an embedded engine. Options: WithProfile, WithSeed,
-// WithWorkMem, WithMaxRecursion (see internal/engine).
+// WithBatchSize, WithSyncMode.
 func NewEngine(opts ...engine.Option) *Engine { return engine.New(opts...) }
 
 // OpenEngine creates a durable embedded engine rooted at dir: commits
@@ -136,9 +136,6 @@ func WithProfile(p profile.Profile) engine.Option { return engine.WithProfile(p)
 // WithSeed seeds the deterministic random() source.
 func WithSeed(seed uint64) engine.Option { return engine.WithSeed(seed) }
 
-// WithWorkMem bounds tuplestore memory before spilling (bytes).
-func WithWorkMem(bytes int) engine.Option { return engine.WithWorkMem(bytes) }
-
 // WithBatchSize sets the executor's tuples-per-batch (1 degenerates to
 // tuple-at-a-time Volcano iteration).
 func WithBatchSize(n int) engine.Option { return engine.WithBatchSize(n) }
@@ -147,17 +144,11 @@ func WithBatchSize(n int) engine.Option { return engine.WithBatchSize(n) }
 // CREATE FUNCTION … LANGUAGE plpgsql statement.
 func Compile(src string, opt Options) (*Result, error) { return core.Compile(src, opt) }
 
-// Installer is any target a compiled function can be registered on — an
-// *Engine or one of its *Sessions (both register into the shared catalog).
-type Installer interface {
-	InstallCompiled(name string, params []plast.Param, ret sqltypes.Type, body *sqlast.Query) error
-}
-
-// Install registers a compilation result with an engine (or session) under
-// the given name: calls evaluate the pure-SQL form, no interpreter
-// involved.
-func Install(target Installer, name string, res *Result) error {
-	return target.InstallCompiled(name, res.Params, res.ReturnType, res.Query)
+// Install registers a compilation result under the given name in the
+// catalog s's engine shares: calls evaluate the pure-SQL form, no
+// interpreter involved.
+func Install(s *Session, name string, res *Result) error {
+	return s.InstallCompiled(name, res.Params, res.ReturnType, res.Query)
 }
 
 // Server serves an engine over TCP with the wire protocol: one session

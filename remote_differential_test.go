@@ -73,22 +73,23 @@ func TestRemoteDifferential(t *testing.T) {
 	// One engine hosts the whole corpus; local sessions and remote
 	// connections share it.
 	e := newWorkloadEngine(t)
+	s := e.NewSession()
 	for name, src := range workload.Corpus {
-		if err := e.Exec(src); err != nil {
+		if err := s.Exec(src); err != nil {
 			t.Fatalf("install interpreted %s: %v", name, err)
 		}
 		res, err := plsqlaway.Compile(src, plsqlaway.Options{})
 		if err != nil {
 			t.Fatalf("compile %s: %v", name, err)
 		}
-		if err := plsqlaway.Install(e, name+"_c", res); err != nil {
+		if err := plsqlaway.Install(s, name+"_c", res); err != nil {
 			t.Fatalf("install compiled %s: %v", name, err)
 		}
 		resIter, err := plsqlaway.Compile(src, plsqlaway.Options{Iterate: true})
 		if err != nil {
 			t.Fatalf("compile (iterate) %s: %v", name, err)
 		}
-		if err := plsqlaway.Install(e, name+"_ci", resIter); err != nil {
+		if err := plsqlaway.Install(s, name+"_ci", resIter); err != nil {
 			t.Fatalf("install compiled (iterate) %s: %v", name, err)
 		}
 	}
@@ -137,15 +138,16 @@ func TestRemoteDifferential(t *testing.T) {
 // against the locally installed compiled form.
 func TestRemoteWireInstalledFunction(t *testing.T) {
 	e := newWorkloadEngine(t)
+	s := e.NewSession()
 	src := workload.Corpus["balance"]
-	if err := e.Exec(src); err != nil {
+	if err := s.Exec(src); err != nil {
 		t.Fatal(err)
 	}
 	res, err := plsqlaway.Compile(src, plsqlaway.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plsqlaway.Install(e, "balance_c", res); err != nil {
+	if err := plsqlaway.Install(s, "balance_c", res); err != nil {
 		t.Fatal(err)
 	}
 	addr := startLoopbackServer(t, e)
@@ -179,15 +181,16 @@ func TestRemoteWireInstalledFunction(t *testing.T) {
 // the in-process concurrency suite across the process boundary.
 func TestRemoteConcurrentSessions(t *testing.T) {
 	e := newWorkloadEngine(t)
+	s := e.NewSession()
 	src := workload.Corpus["gcd"]
-	if err := e.Exec(src); err != nil {
+	if err := s.Exec(src); err != nil {
 		t.Fatal(err)
 	}
 	res, err := plsqlaway.Compile(src, plsqlaway.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plsqlaway.Install(e, "gcd_c", res); err != nil {
+	if err := plsqlaway.Install(s, "gcd_c", res); err != nil {
 		t.Fatal(err)
 	}
 	addr := startLoopbackServer(t, e)

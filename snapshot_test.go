@@ -34,7 +34,7 @@ func TestSnapshotReaderStability(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "(%d, 0)", i)
 	}
-	if err := e.Exec(sb.String()); err != nil {
+	if err := e.NewSession().Exec(sb.String()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -108,7 +108,7 @@ func TestSnapshotInterleavedDDL(t *testing.T) {
 	const churns = 30
 
 	e := plsqlaway.NewEngine()
-	if err := e.Exec("CREATE TABLE phantom (x int); INSERT INTO phantom VALUES (1), (2), (3)"); err != nil {
+	if err := e.NewSession().Exec("CREATE TABLE phantom (x int); INSERT INTO phantom VALUES (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,7 +180,7 @@ func TestSnapshotWriterAtomicTransfer(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "(%d, %d)", i, each)
 	}
-	if err := e.Exec(sb.String()); err != nil {
+	if err := e.NewSession().Exec(sb.String()); err != nil {
 		t.Fatal(err)
 	}
 	const total = accounts * each
