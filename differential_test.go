@@ -369,12 +369,12 @@ func TestDifferentialBatchVsTuple(t *testing.T) {
 
 // compiledRun is one compiled corpus function planned by hand in one
 // regime: lowered (the plan the engine builds: trampoline → Loop, lets →
-// slots, embedded queries memoised), unmemoised (plan.Options.NoMemo: the
-// same Loop running every embedded query per iteration) or generic
-// (plan.Options.NoLoop: the recursive-CTE plan over nest-loop let chains
-// the lowering replaced). It mirrors what the
-// engine's opaque call path does around such a plan: arguments cast to the
-// parameter types, the result to the return type.
+// slots, embedded queries memoised), unmemoised (Skip: plan.PassMemo —
+// the same Loop running every embedded query per iteration) or generic
+// (Skip: plan.PassLoop — the recursive-CTE plan over nest-loop let chains
+// the lowering replaced). It mirrors what the engine's opaque call path
+// does around such a plan: arguments cast to the parameter types, the
+// result to the return type.
 type compiledRun struct {
 	res *plsqlaway.Result
 	p   *plan.Plan
@@ -487,8 +487,8 @@ func TestDifferentialLoopVsGeneric(t *testing.T) {
 					t.Fatalf("compile (iterate=%v): %v", iterate, err)
 				}
 				lowered := planCompiled(t, s.Catalog(), res, plan.Options{})
-				unmemoised := planCompiled(t, s.Catalog(), res, plan.Options{NoMemo: true})
-				generic := planCompiled(t, s.Catalog(), res, plan.Options{NoLoop: true})
+				unmemoised := planCompiled(t, s.Catalog(), res, plan.Options{Skip: plan.PassMemo})
+				generic := planCompiled(t, s.Catalog(), res, plan.Options{Skip: plan.PassLoop})
 				// The regimes are what they claim to be. (Loop-less
 				// functions compile to one expression: nothing to lower.)
 				recursive := strings.Contains(res.SQL, "WITH ")
@@ -497,16 +497,16 @@ func TestDifferentialLoopVsGeneric(t *testing.T) {
 					t.Fatalf("iterate=%v: compiled plan was not lowered:\n%s", iterate, lt)
 				}
 				// Every embedded query of the corpus is pure and reads no
-				// CTE: each one gets a memo, and NoMemo takes them away.
+				// CTE: each one gets a memo, and skipping the memo pass takes them away.
 				if lt := strings.Join(lowered.p.Explain(), "\n"); strings.Count(lt, "Memo [") != strings.Count(lt, "\n  subplan(") {
 					t.Fatalf("iterate=%v: not every embedded query is memoised:\n%s", iterate, lt)
 				}
 				if ut := strings.Join(unmemoised.p.Explain(), "\n"); strings.Contains(ut, "Memo") {
-					t.Fatalf("iterate=%v: NoMemo plan has a memo:\n%s", iterate, ut)
+					t.Fatalf("iterate=%v: memo-skipped plan has a memo:\n%s", iterate, ut)
 				}
 				if gt := strings.Join(generic.p.Explain(), "\n"); generic.p.LoopedCTEs != 0 || strings.Contains(gt, "Let") ||
 					(recursive && !strings.Contains(gt, "RecursiveUnion")) {
-					t.Fatalf("iterate=%v: NoLoop plan is not the generic plan:\n%s", iterate, gt)
+					t.Fatalf("iterate=%v: loop-skipped plan is not the generic plan:\n%s", iterate, gt)
 				}
 				for _, batch := range []int{1, 7, 0} {
 					for seed := range want {

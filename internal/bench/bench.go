@@ -436,27 +436,11 @@ type Table2Row struct {
 	LoopWrites      int64 // WITH RECURSIVE as planned: trampoline lowered to a Loop
 }
 
-// traceKept returns a compiled trampoline query whose consumer reads every
-// run row — max(result) over the whole table, which is still the function
-// result because continuing rows carry NULL there — so the planner cannot
-// lower it to a Loop and the engine must keep the tail-recursion trace:
-// the vanilla WITH RECURSIVE evaluation the paper's Table 2 measures.
-func traceKept(q *sqlast.Query) *sqlast.Query {
-	c := *q
-	sel := *q.Body.(*sqlast.Select)
-	sel.Where = nil
-	sel.Items = []sqlast.SelectItem{{
-		Expr:  &sqlast.FuncCall{Name: "max", Args: []sqlast.Expr{sel.Items[0].Expr}},
-		Alias: "result",
-	}}
-	c.Body = &sel
-	return &c
-}
-
-// installTraceKept installs name_ct: name_c with its trace kept.
+// installTraceKept installs name_ct: name_c with its trace kept
+// (workload.TraceKept).
 func installTraceKept(env *Env, name string) error {
 	res := env.Compiled[name]
-	return env.S.InstallCompiled(name+"_ct", res.Params, res.ReturnType, traceKept(res.Query))
+	return env.S.InstallCompiled(name+"_ct", res.Params, res.ReturnType, workload.TraceKept(res.Query))
 }
 
 // Table2 runs compiled parse() on growing inputs and counts buffer page

@@ -129,10 +129,10 @@ func TestLoopAllocsPin(t *testing.T) {
 // embedded query's key seen before in this statement — replays cached
 // rows and allocates nothing; a miss runs the query and records its rows
 // into slabs shared by every entry, so it may allocate only a bounded
-// amount more than the same loop planned with NoMemo. Both are measured
-// per iteration of a hand-written trampoline whose step reads kv once:
-// keyed on the state column m = i % 4 (all hits after four) or on i (all
-// misses).
+// amount more than the same loop planned with the memo pass skipped. Both
+// are measured per iteration of a hand-written trampoline whose step
+// reads kv once: keyed on the state column m = i % 4 (all hits after
+// four) or on i (all misses).
 func TestMemoAllocsPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
@@ -191,7 +191,7 @@ SELECT s.acc FROM st AS s WHERE NOT s.go_on`)
 	if hit := perIteration(loop("s.m"), plan.Options{}); hit > 0.01 {
 		t.Errorf("a memo hit allocates %.2f times, want 0", hit)
 	}
-	miss, plain := perIteration(loop("s.i"), plan.Options{}), perIteration(loop("s.i"), plan.Options{NoMemo: true})
+	miss, plain := perIteration(loop("s.i"), plan.Options{}), perIteration(loop("s.i"), plan.Options{Skip: plan.PassMemo})
 	if miss-plain > 0.5 {
 		t.Errorf("a memo miss allocates %.2f times, the query without memo %.2f: budget +0.5", miss, plain)
 	}

@@ -178,9 +178,10 @@ func TestOneResultPathDifferential(t *testing.T) {
 }
 
 // TestHashJoinVsNestLoopDifferential plans every edge query twice — once
-// with the hash-join rewrite, once pinned to nest loops (NoHashJoin) — and
-// asserts identical row streams, covering NULL keys, duplicate keys, empty
-// build sides, and left-join null extension on both join implementations.
+// with the hash-join rewrite, once pinned to nest loops (Skip:
+// PassHashJoin) — and asserts identical row streams, covering NULL keys,
+// duplicate keys, empty build sides, and left-join null extension on both
+// join implementations.
 func TestHashJoinVsNestLoopDifferential(t *testing.T) {
 	e := newBatchTestEngine(t, 4)
 	s := e.NewSession()
@@ -216,7 +217,7 @@ func TestHashJoinVsNestLoopDifferential(t *testing.T) {
 			return out
 		}
 		hash := run(plan.Options{})
-		nest := run(plan.Options{NoHashJoin: true})
+		nest := run(plan.Options{Skip: plan.PassHashJoin})
 		if strings.Join(hash, ";") != strings.Join(nest, ";") {
 			t.Errorf("%s: hash join != nest loop\n  hash: %s\n  nest: %s",
 				q.name, strings.Join(hash, ";"), strings.Join(nest, ";"))
@@ -297,10 +298,10 @@ func TestHashJoinPlanShapes(t *testing.T) {
 	if h, n := countKind(p); h != 1 || n != 0 {
 		t.Errorf("equi-join: got %d hash joins, %d nest loops; want 1, 0", h, n)
 	}
-	// NoHashJoin pins the Volcano shape.
-	p = buildPlan("SELECT a.tag FROM a, b WHERE a.x = b.y", plan.Options{NoHashJoin: true})
+	// Skipping the hash-join pass pins the Volcano shape.
+	p = buildPlan("SELECT a.tag FROM a, b WHERE a.x = b.y", plan.Options{Skip: plan.PassHashJoin})
 	if h, n := countKind(p); h != 0 || n != 1 {
-		t.Errorf("NoHashJoin: got %d hash joins, %d nest loops; want 0, 1", h, n)
+		t.Errorf("hash joins skipped: got %d hash joins, %d nest loops; want 0, 1", h, n)
 	}
 	// No equality conjunct → nest loop stays.
 	p = buildPlan("SELECT a.tag FROM a, b WHERE a.x < b.y", plan.Options{})
@@ -406,7 +407,7 @@ func TestHashJoinLargeNumericKeys(t *testing.T) {
 			}
 			return strings.Join(out, ";")
 		}
-		hash, nest := run(plan.Options{}), run(plan.Options{NoHashJoin: true})
+		hash, nest := run(plan.Options{}), run(plan.Options{Skip: plan.PassHashJoin})
 		if hash != nest {
 			t.Errorf("%q:\n  hash: %s\n  nest: %s", sql, hash, nest)
 		}

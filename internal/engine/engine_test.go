@@ -573,3 +573,24 @@ func TestResultFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestSubqueryKeepsEnclosingState: planning a subquery nested in a
+// grouped or windowed SELECT leaves that SELECT's aggregate and window
+// bindings in place. Each statement is one PostgreSQL answers.
+func TestSubqueryKeepsEnclosingState(t *testing.T) {
+	s := New().NewSession()
+	mustExec(t, s, "CREATE TABLE u (id int, g int); INSERT INTO u VALUES (1, 1), (2, 1), (3, 2)")
+	cases := []struct{ sql, want string }{
+		{"SELECT id, row_number() OVER (PARTITION BY (SELECT 1)) FROM u", "1,1;2,2;3,3"},
+		{"SELECT id, lag(id, (SELECT 1)) OVER (ORDER BY id) FROM u", "1,NULL;2,1;3,2"},
+		{"SELECT id, row_number() OVER (ORDER BY (SELECT 1), id DESC) FROM u ORDER BY id", "1,3;2,2;3,1"},
+		{"SELECT g, count(*) FROM u GROUP BY g HAVING count(*) > (SELECT 0) ORDER BY g", "1,2;2,1"},
+		{"SELECT g, (SELECT 5), count(*) FROM u GROUP BY g ORDER BY g", "1,5,2;2,5,1"},
+		{"SELECT id, (SELECT 7), row_number() OVER (ORDER BY id) FROM u", "1,7,1;2,7,2;3,7,3"},
+	}
+	for _, c := range cases {
+		if got := rowsOf(t, s, c.sql); got != c.want {
+			t.Errorf("%s\n got %s\nwant %s", c.sql, got, c.want)
+		}
+	}
+}

@@ -164,7 +164,7 @@ func TestMemoUpdateSetCallsALoopReadingTheTable(t *testing.T) {
 		}
 		return 0, false
 	}
-	p, err := plan.Build(s.Catalog(), fn.SQLBody, plan.Options{Hook: hook, NoMemo: true})
+	p, err := plan.Build(s.Catalog(), fn.SQLBody, plan.Options{Hook: hook, Skip: plan.PassMemo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestMemoUpdateSetCallsALoopReadingTheTable(t *testing.T) {
 	}
 	for _, r := range res.Rows {
 		if k := r[0].Int(); !sqltypes.Identical(r[1], want[k]) {
-			t.Errorf("k=%d: UPDATE wrote %v, the NoMemo plan computes %v", k, r[1], want[k])
+			t.Errorf("k=%d: UPDATE wrote %v, the memo-skipped plan computes %v", k, r[1], want[k])
 		}
 	}
 }

@@ -47,9 +47,9 @@ type Session struct {
 	// session (0 = inherit the shared default).
 	batchSize int
 
-	// noInline disables planner UDF inlining for this session's plans (the
-	// inlining ablation: calls stay opaque per-row interpreter dispatch).
-	noInline bool
+	// opts is the planner options of every statement this session plans;
+	// the interpreter plans its embedded queries with them too.
+	opts plan.Options
 
 	// Statement snapshot state. A session runs on one goroutine, so these
 	// need no locking: they describe the statement currently in flight.
@@ -95,8 +95,10 @@ func newSession(e *Engine) *Session {
 	}
 	s.callFn = s.callFunction
 	s.overlay = func(h *storage.Heap) *storage.HeapOverlay { return s.txn.writes[h] }
+	s.opts = plan.Options{DisableLateral: e.prof.DisableLateral}
 	s.interp = plinterp.New(e.state.Load().cat, e.cache, s.counters, s.newCtx, &s.pool)
 	s.interp.Profile = e.prof
+	s.interp.Opts = &s.opts
 	return s
 }
 
@@ -154,13 +156,13 @@ func (s *Session) SetBatchSize(n int) {
 // dispatch, the baseline the inlining tests compare against. Plans built
 // either way cache under distinct keys, so flipping mid-session is safe.
 func (s *Session) SetInlining(on bool) {
-	s.noInline = !on
-	s.interp.NoInline = !on
+	if on {
+		s.opts.Skip &^= plan.PassInline
+	} else {
+		s.opts.Skip |= plan.PassInline
+	}
 }
 
-// planOpts assembles the planner options every query planned on this
-// session uses — one construction site, so inlining and profile flags
-// cannot drift between the cached, fresh, and streaming paths.
 // PlanStats reports the shared plan cache's inlining counters: UDF calls
 // inlined into plans, constant-specialized call sites, and cache entries
 // evicted (capacity pressure or DDL invalidation).
@@ -174,9 +176,11 @@ func (s *Session) PlanCacheStats() (hits, misses int64) {
 	return s.sh.cache.Stats()
 }
 
-func (s *Session) planOpts() plan.Options {
-	return plan.Options{DisableLateral: s.sh.prof.DisableLateral, NoInline: s.noInline}
-}
+// planOpts returns the planner options every query planned on this
+// session uses. They are built once, in newSession, changed only by
+// SetInlining, and shared with the interpreter by pointer, so the cached,
+// fresh, streaming and embedded paths cannot drift apart.
+func (s *Session) planOpts() plan.Options { return s.opts }
 
 // Counters exposes this session's profile counters (Table 1 buckets).
 func (s *Session) Counters() *profile.Counters { return s.counters }
@@ -1459,12 +1463,12 @@ func (s *Session) compileRowClauses(tbl *catalog.Table, alias string, where sqla
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if proj, ok := p.Root.(*plan.Project); ok && !opts.NoInline {
+	if proj, ok := p.Root.(*plan.Project); ok && opts.Skip&plan.PassInline == 0 {
 		if _, scan := proj.Child.(*plan.SeqScan); !scan {
 			// Inlining moved a call's body into operators below the
 			// projection (an Apply, a hash join). The clauses are evaluated
 			// one stored row at a time, so keep the calls opaque instead.
-			opts.NoInline = true
+			opts.Skip |= plan.PassInline
 			if p, err = plan.Build(s.cur.cat, q, opts); err != nil {
 				return nil, nil, nil, err
 			}

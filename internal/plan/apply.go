@@ -15,21 +15,23 @@ package plan
 // query guards with CASE) on rows the row-at-a-time engine skips.
 // Subplans left in place still evaluate correctly via evalSubplan.
 
-// hoistInlineApplies rewrites the tree bottom-up.
+// hoistInlineApplies rewrites the tree bottom-up. Filter, Project and Agg
+// hoist from their eager positions; every other subplan is rewritten in
+// place.
 func hoistInlineApplies(n Node) Node {
+	nodeChildren(n, hoistInlineApplies)
+	var subs []*SubplanExpr
 	switch x := n.(type) {
 	case *Filter:
-		x.Child = hoistInlineApplies(x.Child)
 		lw := x.Child.Width()
-		var subs []*SubplanExpr
 		var keep, lifted []Expr
 		for _, c := range splitConjuncts(x.Pred) {
 			before := len(subs)
-			c = collectInlineSubs(c, lw, &subs)
+			c = mapSubplans(collectInlineSubs(c, lw, &subs), hoistInlineApplies)
 			if len(subs) > before {
-				lifted = append(lifted, mapSubplans(c, hoistInlineApplies))
+				lifted = append(lifted, c)
 			} else {
-				keep = append(keep, mapSubplans(c, hoistInlineApplies))
+				keep = append(keep, c)
 			}
 		}
 		if len(subs) == 0 {
@@ -45,81 +47,22 @@ func hoistInlineApplies(n Node) Node {
 		inner := &Filter{Child: child, Pred: andAll(lifted)}
 		return stripTo(inner, lw)
 	case *Project:
-		x.Child = hoistInlineApplies(x.Child)
 		lw := x.Child.Width()
-		var subs []*SubplanExpr
 		for i := range x.Exprs {
-			x.Exprs[i] = mapSubplans(collectInlineSubs(x.Exprs[i], lw, &subs), hoistInlineApplies)
+			x.Exprs[i] = collectInlineSubs(x.Exprs[i], lw, &subs)
 		}
 		x.Child = chainApplies(x.Child, subs)
-		return x
 	case *Agg:
-		x.Child = hoistInlineApplies(x.Child)
 		lw := x.Child.Width()
-		var subs []*SubplanExpr
 		for i := range x.GroupBy {
-			x.GroupBy[i] = mapSubplans(collectInlineSubs(x.GroupBy[i], lw, &subs), hoistInlineApplies)
+			x.GroupBy[i] = collectInlineSubs(x.GroupBy[i], lw, &subs)
 		}
 		for i := range x.Aggs {
-			if x.Aggs[i].Arg != nil {
-				x.Aggs[i].Arg = mapSubplans(collectInlineSubs(x.Aggs[i].Arg, lw, &subs), hoistInlineApplies)
-			}
-			x.Aggs[i].Sep = mapSubplans(x.Aggs[i].Sep, hoistInlineApplies)
+			x.Aggs[i].Arg = collectInlineSubs(x.Aggs[i].Arg, lw, &subs)
 		}
 		x.Child = chainApplies(x.Child, subs)
-		return x
-	case *Result:
-		for i := range x.Exprs {
-			x.Exprs[i] = mapSubplans(x.Exprs[i], hoistInlineApplies)
-		}
-	case *NestLoop:
-		x.Left = hoistInlineApplies(x.Left)
-		x.Right = hoistInlineApplies(x.Right)
-		x.On = mapSubplans(x.On, hoistInlineApplies)
-	case *HashJoin:
-		x.Left = hoistInlineApplies(x.Left)
-		x.Right = hoistInlineApplies(x.Right)
-		x.Residual = mapSubplans(x.Residual, hoistInlineApplies)
-	case *Apply:
-		x.Child = hoistInlineApplies(x.Child)
-		x.Sub = hoistInlineApplies(x.Sub)
-	case *Materialize:
-		x.Child = hoistInlineApplies(x.Child)
-	case *Window:
-		x.Child = hoistInlineApplies(x.Child)
-		for i := range x.Funcs {
-			x.Funcs[i].Arg = mapSubplans(x.Funcs[i].Arg, hoistInlineApplies)
-		}
-	case *Sort:
-		x.Child = hoistInlineApplies(x.Child)
-		for i := range x.Keys {
-			x.Keys[i].Expr = mapSubplans(x.Keys[i].Expr, hoistInlineApplies)
-		}
-	case *Limit:
-		x.Child = hoistInlineApplies(x.Child)
-		x.Limit = mapSubplans(x.Limit, hoistInlineApplies)
-		x.Offset = mapSubplans(x.Offset, hoistInlineApplies)
-	case *Distinct:
-		x.Child = hoistInlineApplies(x.Child)
-	case *Append:
-		for i := range x.Children {
-			x.Children[i] = hoistInlineApplies(x.Children[i])
-		}
-	case *SetOp:
-		x.L = hoistInlineApplies(x.L)
-		x.R = hoistInlineApplies(x.R)
-	case *ValuesNode:
-		for _, row := range x.Rows {
-			for i := range row {
-				row[i] = mapSubplans(row[i], hoistInlineApplies)
-			}
-		}
-	case *RecursiveUnion:
-		x.NonRec = hoistInlineApplies(x.NonRec)
-		x.Rec = hoistInlineApplies(x.Rec)
-	case *WithNode:
-		x.Child = hoistInlineApplies(x.Child)
 	}
+	nodeExprs(n, func(e Expr) Expr { return mapSubplans(e, hoistInlineApplies) })
 	return n
 }
 
@@ -336,56 +279,11 @@ func corrEquiKey(c Expr) (outer, inner Expr, ok bool) {
 // expression tree, or -1 if none.
 func maxOuterDepth(e Expr) int {
 	max := -1
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch t := x.(type) {
-		case nil:
-		case *OuterRef:
-			if t.Depth > max {
-				max = t.Depth
-			}
-		case *BinOp:
-			walk(t.L)
-			walk(t.R)
-		case *UnaryOp:
-			walk(t.X)
-		case *IsNullExpr:
-			walk(t.X)
-		case *BetweenExpr:
-			walk(t.X)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *InListExpr:
-			walk(t.X)
-			for _, i := range t.List {
-				walk(i)
-			}
-		case *CaseExpr:
-			walk(t.Operand)
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(t.Else)
-		case *FuncExpr:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *CastExpr:
-			walk(t.X)
-		case *RowCtor:
-			for _, f := range t.Fields {
-				walk(f)
-			}
-		case *FieldSel:
-			walk(t.X)
-		case *UDFCallExpr:
-			for _, a := range t.Args {
-				walk(a)
-			}
+	walkExpr(e, func(x Expr) {
+		if r, ok := x.(*OuterRef); ok && r.Depth > max {
+			max = r.Depth
 		}
-	}
-	walk(e)
+	})
 	return max
 }
 
@@ -393,57 +291,10 @@ func maxOuterDepth(e Expr) int {
 // outer-side key expression to evaluate over the probe row directly.
 // Only called on expressions corrEquiKey vetted (depth-0 refs only).
 func outerToInput(e Expr) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *OuterRef:
-		return &InputRef{Idx: x.Idx}
-	case *BinOp:
-		x.L = outerToInput(x.L)
-		x.R = outerToInput(x.R)
-		return x
-	case *UnaryOp:
-		x.X = outerToInput(x.X)
-		return x
-	case *IsNullExpr:
-		x.X = outerToInput(x.X)
-		return x
-	case *BetweenExpr:
-		x.X = outerToInput(x.X)
-		x.Lo = outerToInput(x.Lo)
-		x.Hi = outerToInput(x.Hi)
-		return x
-	case *InListExpr:
-		x.X = outerToInput(x.X)
-		for i := range x.List {
-			x.List[i] = outerToInput(x.List[i])
+	return mapExpr(e, func(x Expr) Expr {
+		if r, ok := x.(*OuterRef); ok {
+			return &InputRef{Idx: r.Idx}
 		}
 		return x
-	case *CaseExpr:
-		x.Operand = outerToInput(x.Operand)
-		for i := range x.Whens {
-			x.Whens[i].Cond = outerToInput(x.Whens[i].Cond)
-			x.Whens[i].Result = outerToInput(x.Whens[i].Result)
-		}
-		x.Else = outerToInput(x.Else)
-		return x
-	case *FuncExpr:
-		for i := range x.Args {
-			x.Args[i] = outerToInput(x.Args[i])
-		}
-		return x
-	case *CastExpr:
-		x.X = outerToInput(x.X)
-		return x
-	case *RowCtor:
-		for i := range x.Fields {
-			x.Fields[i] = outerToInput(x.Fields[i])
-		}
-		return x
-	case *FieldSel:
-		x.X = outerToInput(x.X)
-		return x
-	default:
-		return e
-	}
+	})
 }

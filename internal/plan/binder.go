@@ -22,25 +22,32 @@ type Options struct {
 	// DisableLateral rejects LATERAL subqueries — the SQLite dialect of the
 	// paper's §3, which forced the syntactic rewrite we also implement.
 	DisableLateral bool
-	// NoHashJoin disables the nest-loop → hash-join rewrite (ablations and
-	// differential tests that pin the Volcano join shape).
-	NoHashJoin bool
-	// NoInline disables UDF body inlining: every catalog function call
-	// stays an opaque UDFCallExpr dispatched through the engine's call
-	// hook (and keeps the batch-size-1 volatile rule). The inlined-vs-
-	// opaque ablation and differential suites flip this.
-	NoInline bool
-	// NoLoop disables the loop/let lowering pass (loop.go): compiled
-	// trampolines stay generic RecursiveUnion plans and let-chains stay
-	// nest loops — the reference plan the lowering is differentially
-	// tested against. Tests set it on direct Build calls; no engine
-	// surface does.
-	NoLoop bool
-	// NoMemo disables the memo pass (memo.go): the subplans of a Loop run
-	// on every iteration — the reference the memoised plan is
-	// differentially tested against. Like NoLoop, tests only.
-	NoMemo bool
+	// Skip turns planner passes off, each giving the reference plan its
+	// differential tests compare against. Plans cache per Skip set.
+	Skip Pass
 }
+
+// Pass is a set of the planner passes Options.Skip can turn off.
+type Pass uint8
+
+const (
+	// PassInline is UDF body inlining: skipped, every catalog function
+	// call stays an opaque UDFCallExpr dispatched through the engine's
+	// call hook (and keeps the batch-size-1 volatile rule). The session's
+	// SetInlining switch, the inlining ablation and the differential
+	// suites use it.
+	PassInline Pass = 1 << iota
+	// PassHashJoin is the nest-loop → hash-join rewrite: skipped, joins
+	// keep the Volcano shape.
+	PassHashJoin
+	// PassLoop is the loop/let lowering (loop.go): skipped, compiled
+	// trampolines stay generic RecursiveUnion plans and let-chains stay
+	// nest loops.
+	PassLoop
+	// PassMemo is the memo pass (memo.go): skipped, the subplans of a Loop
+	// run on every iteration.
+	PassMemo
+)
 
 // scopeCol is one visible column of a scope.
 type scopeCol struct {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -163,17 +164,11 @@ func (c *Cache) Get(cat *catalog.Catalog, q *sqlast.Query, opts Options) (*Plan,
 
 // GetByText memoizes by a caller-provided key, avoiding the deparse on hot
 // paths (the PL/pgSQL interpreter keys by statement identity). Plans built
-// with inlining disabled are keyed separately — the same text plans to a
-// different tree under the two modes.
+// with passes skipped are keyed by the Skip set — the same text plans to a
+// different tree under each.
 func (c *Cache) GetByText(cat *catalog.Catalog, key string, q *sqlast.Query, opts Options) (*Plan, error) {
-	if opts.NoInline {
-		key = "noinline|" + key
-	}
-	if opts.NoLoop {
-		key = "noloop|" + key
-	}
-	if opts.NoMemo {
-		key = "nomemo|" + key
+	if opts.Skip != 0 {
+		key = "skip" + strconv.Itoa(int(opts.Skip)) + "|" + key
 	}
 	if p, ok := c.lookup(cat, key); ok {
 		return p, nil

@@ -16,14 +16,9 @@ import (
 // foldConstants folds expressions throughout a plan subtree and simplifies
 // Filters whose predicates become constant.
 func foldConstants(n Node) Node {
-	switch x := n.(type) {
-	case nil:
-		return nil
-	case *Result:
-		foldList(x.Exprs)
-	case *Filter:
-		x.Child = foldConstants(x.Child)
-		x.Pred = foldExpr(x.Pred)
+	nodeExprs(n, foldExpr)
+	descend(n, foldConstants)
+	if x, ok := n.(*Filter); ok {
 		if c, ok := x.Pred.(*Const); ok {
 			if c.Val.Kind() == sqltypes.KindBool && c.Val.Bool() {
 				return x.Child
@@ -35,78 +30,8 @@ func foldConstants(n Node) Node {
 				return &ValuesNode{Wid: x.Child.Width()}
 			}
 		}
-	case *Project:
-		x.Child = foldConstants(x.Child)
-		foldList(x.Exprs)
-	case *NestLoop:
-		x.Left = foldConstants(x.Left)
-		x.Right = foldConstants(x.Right)
-		x.On = foldExpr(x.On)
-	case *HashJoin:
-		x.Left = foldConstants(x.Left)
-		x.Right = foldConstants(x.Right)
-		foldList(x.LeftKeys)
-		foldList(x.RightKeys)
-		x.Residual = foldExpr(x.Residual)
-	case *Apply:
-		x.Child = foldConstants(x.Child)
-		x.Sub = foldConstants(x.Sub)
-	case *Materialize:
-		x.Child = foldConstants(x.Child)
-	case *Agg:
-		x.Child = foldConstants(x.Child)
-		foldList(x.GroupBy)
-		for i := range x.Aggs {
-			x.Aggs[i].Arg = foldExpr(x.Aggs[i].Arg)
-			x.Aggs[i].Sep = foldExpr(x.Aggs[i].Sep)
-		}
-	case *Window:
-		x.Child = foldConstants(x.Child)
-		for i := range x.Funcs {
-			x.Funcs[i].Arg = foldExpr(x.Funcs[i].Arg)
-			x.Funcs[i].Offset = foldExpr(x.Funcs[i].Offset)
-			foldList(x.Funcs[i].PartitionBy)
-			for j := range x.Funcs[i].OrderBy {
-				x.Funcs[i].OrderBy[j].Expr = foldExpr(x.Funcs[i].OrderBy[j].Expr)
-			}
-		}
-	case *Sort:
-		x.Child = foldConstants(x.Child)
-		for i := range x.Keys {
-			x.Keys[i].Expr = foldExpr(x.Keys[i].Expr)
-		}
-	case *Limit:
-		x.Child = foldConstants(x.Child)
-		x.Limit = foldExpr(x.Limit)
-		x.Offset = foldExpr(x.Offset)
-	case *Distinct:
-		x.Child = foldConstants(x.Child)
-	case *Append:
-		for i := range x.Children {
-			x.Children[i] = foldConstants(x.Children[i])
-		}
-	case *SetOp:
-		x.L = foldConstants(x.L)
-		x.R = foldConstants(x.R)
-	case *ValuesNode:
-		for _, row := range x.Rows {
-			foldList(row)
-		}
-	case *RecursiveUnion:
-		x.NonRec = foldConstants(x.NonRec)
-		x.Rec = foldConstants(x.Rec)
-	case *WithNode:
-		x.Child = foldConstants(x.Child)
-	case *IndexScan:
-		x.Key = foldExpr(x.Key)
 	}
 	return n
-}
-
-func foldList(es []Expr) {
-	for i := range es {
-		es[i] = foldExpr(es[i])
-	}
 }
 
 func constVal(e Expr) (sqltypes.Value, bool) {
@@ -116,17 +41,17 @@ func constVal(e Expr) (sqltypes.Value, bool) {
 	return sqltypes.Null, false
 }
 
-// foldExpr folds bottom-up. Lazy positions (CASE arms, IN list tails past
-// the executor's short-circuit) still fold internally — folding a pure
-// constant subexpression never changes whether it gets evaluated, only
-// when, and error-producing subtrees stay unfolded.
-func foldExpr(e Expr) Expr {
+// foldExpr folds bottom-up (nested plans are foldConstants' own). Lazy
+// positions (CASE arms, IN list tails past the executor's short-circuit)
+// still fold internally — folding a pure constant subexpression never
+// changes whether it gets evaluated, only when, and error-producing
+// subtrees stay unfolded.
+func foldExpr(e Expr) Expr { return mapExpr(e, foldNode) }
+
+// foldNode folds one expression node whose operands are already folded.
+func foldNode(e Expr) Expr {
 	switch x := e.(type) {
-	case nil:
-		return nil
 	case *BinOp:
-		x.L = foldExpr(x.L)
-		x.R = foldExpr(x.R)
 		l, lok := constVal(x.L)
 		// Left-constant AND/OR short-circuit, exactly as evalBinary.
 		if lok {
@@ -147,9 +72,7 @@ func foldExpr(e Expr) Expr {
 				return &Const{Val: v}
 			}
 		}
-		return x
 	case *UnaryOp:
-		x.X = foldExpr(x.X)
 		if v, ok := constVal(x.X); ok {
 			var folded sqltypes.Value
 			var err error
@@ -162,17 +85,11 @@ func foldExpr(e Expr) Expr {
 				return &Const{Val: folded}
 			}
 		}
-		return x
 	case *IsNullExpr:
-		x.X = foldExpr(x.X)
 		if v, ok := constVal(x.X); ok {
 			return &Const{Val: sqltypes.NewBool(v.IsNull() != x.Negate)}
 		}
-		return x
 	case *BetweenExpr:
-		x.X = foldExpr(x.X)
-		x.Lo = foldExpr(x.Lo)
-		x.Hi = foldExpr(x.Hi)
 		v, vok := constVal(x.X)
 		lo, look := constVal(x.Lo)
 		hi, hiok := constVal(x.Hi)
@@ -181,20 +98,7 @@ func foldExpr(e Expr) Expr {
 				return &Const{Val: folded}
 			}
 		}
-		return x
-	case *InListExpr:
-		x.X = foldExpr(x.X)
-		for i := range x.List {
-			x.List[i] = foldExpr(x.List[i])
-		}
-		return x
 	case *CaseExpr:
-		x.Operand = foldExpr(x.Operand)
-		for i := range x.Whens {
-			x.Whens[i].Cond = foldExpr(x.Whens[i].Cond)
-			x.Whens[i].Result = foldExpr(x.Whens[i].Result)
-		}
-		x.Else = foldExpr(x.Else)
 		// Searched CASE with a constant-true first arm (a shape inlined
 		// dispatcher bodies produce) collapses to that arm.
 		if x.Operand == nil {
@@ -216,40 +120,14 @@ func foldExpr(e Expr) Expr {
 				return x.Else
 			}
 		}
-		return x
-	case *FuncExpr:
-		for i := range x.Args {
-			x.Args[i] = foldExpr(x.Args[i])
-		}
-		return x
 	case *CastExpr:
-		x.X = foldExpr(x.X)
 		if v, ok := constVal(x.X); ok {
 			if folded, err := sqltypes.Cast(v, x.Type); err == nil {
 				return &Const{Val: folded}
 			}
 		}
-		return x
-	case *RowCtor:
-		for i := range x.Fields {
-			x.Fields[i] = foldExpr(x.Fields[i])
-		}
-		return x
-	case *FieldSel:
-		x.X = foldExpr(x.X)
-		return x
-	case *SubplanExpr:
-		x.Plan = foldConstants(x.Plan)
-		x.CompareX = foldExpr(x.CompareX)
-		return x
-	case *UDFCallExpr:
-		for i := range x.Args {
-			x.Args[i] = foldExpr(x.Args[i])
-		}
-		return x
-	default:
-		return e
 	}
+	return e
 }
 
 // foldBin mirrors exec.applyBin.

@@ -20,98 +20,42 @@ package plan
 // subplans, because the hash join evaluates its residual without the left
 // row pushed (the depth the binder assumed for nest-loop ON no longer
 // holds).
+//
+// A Filter is decided before the NestLoop under it: the filter's equality
+// conjuncts may key the join, which the NestLoop alone would not have.
 func useHashJoins(n Node) Node {
 	switch x := n.(type) {
 	case *Filter:
-		if nl, ok := x.Child.(*NestLoop); ok {
-			nl.Left = useHashJoins(nl.Left)
-			nl.Right = useHashJoins(nl.Right)
-			nl.On = mapSubplans(nl.On, useHashJoins)
-			if hj, moved := tryHashJoin(nl, x.Pred); hj != nil {
-				x.Child = hj
-				// Bare-column key conjuncts moved into the join's residual
-				// (where they run only on hash-matched candidates, not on
-				// every joined row); strip them from the filter. Then push
-				// single-side conjuncts below the join: the hot recursive
-				// probe filters its frontier before probing instead of
-				// filtering the (larger) joined output.
-				rest, _ := stripConjuncts(x.Pred, moved)
-				rest = pushdownJoinConjuncts(hj, rest)
-				if rest == nil {
-					return x.Child
-				}
-				x.Pred = rest
-			}
-		} else {
-			x.Child = useHashJoins(x.Child)
+		nl, ok := x.Child.(*NestLoop)
+		if !ok {
+			break
 		}
+		descend(nl, useHashJoins)
 		x.Pred = mapSubplans(x.Pred, useHashJoins)
+		if hj, moved := tryHashJoin(nl, x.Pred); hj != nil {
+			x.Child = hj
+			// Bare-column key conjuncts moved into the join's residual
+			// (where they run only on hash-matched candidates, not on
+			// every joined row); strip them from the filter. Then push
+			// single-side conjuncts below the join: the hot recursive
+			// probe filters its frontier before probing instead of
+			// filtering the (larger) joined output.
+			rest, _ := stripConjuncts(x.Pred, moved)
+			rest = pushdownJoinConjuncts(hj, rest)
+			if rest == nil {
+				return x.Child
+			}
+			x.Pred = rest
+		}
+		return x
 	case *NestLoop:
-		x.Left = useHashJoins(x.Left)
-		x.Right = useHashJoins(x.Right)
-		x.On = mapSubplans(x.On, useHashJoins)
+		descend(x, useHashJoins)
 		if hj, _ := tryHashJoin(x, nil); hj != nil {
 			return hj
 		}
-	case *HashJoin:
-		x.Left = useHashJoins(x.Left)
-		x.Right = useHashJoins(x.Right)
-		x.Residual = mapSubplans(x.Residual, useHashJoins)
-	case *Apply:
-		x.Child = useHashJoins(x.Child)
-		x.Sub = useHashJoins(x.Sub)
-	case *Project:
-		x.Child = useHashJoins(x.Child)
-		for i := range x.Exprs {
-			x.Exprs[i] = mapSubplans(x.Exprs[i], useHashJoins)
-		}
-	case *Result:
-		for i := range x.Exprs {
-			x.Exprs[i] = mapSubplans(x.Exprs[i], useHashJoins)
-		}
-	case *Materialize:
-		x.Child = useHashJoins(x.Child)
-	case *Agg:
-		x.Child = useHashJoins(x.Child)
-		for i := range x.GroupBy {
-			x.GroupBy[i] = mapSubplans(x.GroupBy[i], useHashJoins)
-		}
-		for i := range x.Aggs {
-			x.Aggs[i].Arg = mapSubplans(x.Aggs[i].Arg, useHashJoins)
-		}
-	case *Window:
-		x.Child = useHashJoins(x.Child)
-		for i := range x.Funcs {
-			x.Funcs[i].Arg = mapSubplans(x.Funcs[i].Arg, useHashJoins)
-		}
-	case *Sort:
-		x.Child = useHashJoins(x.Child)
-		for i := range x.Keys {
-			x.Keys[i].Expr = mapSubplans(x.Keys[i].Expr, useHashJoins)
-		}
-	case *Limit:
-		x.Child = useHashJoins(x.Child)
-	case *Distinct:
-		x.Child = useHashJoins(x.Child)
-	case *Append:
-		for i := range x.Children {
-			x.Children[i] = useHashJoins(x.Children[i])
-		}
-	case *SetOp:
-		x.L = useHashJoins(x.L)
-		x.R = useHashJoins(x.R)
-	case *ValuesNode:
-		for _, row := range x.Rows {
-			for i := range row {
-				row[i] = mapSubplans(row[i], useHashJoins)
-			}
-		}
-	case *RecursiveUnion:
-		x.NonRec = useHashJoins(x.NonRec)
-		x.Rec = useHashJoins(x.Rec)
-	case *WithNode:
-		x.Child = useHashJoins(x.Child)
+		return x
 	}
+	descend(n, useHashJoins)
 	return n
 }
 
@@ -423,47 +367,10 @@ func equiKey(c Expr, lw int) (lk, rk Expr, ok bool) {
 // shiftInputRefs adds delta to every InputRef index of a (cloned, mutable)
 // expression tree.
 func shiftInputRefs(e Expr, delta int) Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *InputRef:
-		x.Idx += delta
-	case *BinOp:
-		shiftInputRefs(x.L, delta)
-		shiftInputRefs(x.R, delta)
-	case *UnaryOp:
-		shiftInputRefs(x.X, delta)
-	case *IsNullExpr:
-		shiftInputRefs(x.X, delta)
-	case *BetweenExpr:
-		shiftInputRefs(x.X, delta)
-		shiftInputRefs(x.Lo, delta)
-		shiftInputRefs(x.Hi, delta)
-	case *InListExpr:
-		shiftInputRefs(x.X, delta)
-		for _, i := range x.List {
-			shiftInputRefs(i, delta)
+	walkExpr(e, func(x Expr) {
+		if r, ok := x.(*InputRef); ok {
+			r.Idx += delta
 		}
-	case *CaseExpr:
-		shiftInputRefs(x.Operand, delta)
-		for _, w := range x.Whens {
-			shiftInputRefs(w.Cond, delta)
-			shiftInputRefs(w.Result, delta)
-		}
-		shiftInputRefs(x.Else, delta)
-	case *FuncExpr:
-		for _, a := range x.Args {
-			shiftInputRefs(a, delta)
-		}
-	case *CastExpr:
-		shiftInputRefs(x.X, delta)
-	case *RowCtor:
-		for _, f := range x.Fields {
-			shiftInputRefs(f, delta)
-		}
-	case *FieldSel:
-		shiftInputRefs(x.X, delta)
-	}
+	})
 	return e
 }

@@ -23,105 +23,34 @@ func (n *IndexScan) Width() int { return len(n.Table.Cols) }
 // `SELECT p.action FROM policy AS p WHERE location = p.loc` turn their
 // full-table scan into a single-bucket probe, exactly what makes
 // PostgreSQL's Exec·Run share of such queries small relative to the
-// per-call ExecutorStart overhead the paper measures.
+// per-call ExecutorStart overhead the paper measures. An Apply's sub is
+// reached like any child: its correlation keys are OuterRefs —
+// row-independent from the sub's own perspective — so a correlated
+// equality becomes an index probe re-keyed per rescan.
 func useIndexes(n Node) Node {
-	switch x := n.(type) {
-	case *Filter:
-		x.Child = useIndexes(x.Child)
-		scan, ok := x.Child.(*SeqScan)
-		if !ok {
-			return x
-		}
-		conjuncts := splitConjuncts(x.Pred)
-		for i, c := range conjuncts {
-			col, key, ok := indexableEquality(c, scan.Table)
-			if !ok {
-				continue
-			}
-			rest := make([]Expr, 0, len(conjuncts)-1)
-			rest = append(rest, conjuncts[:i]...)
-			rest = append(rest, conjuncts[i+1:]...)
-			var out Node = &IndexScan{Table: scan.Table, Col: col, Key: key}
-			if len(rest) > 0 {
-				out = &Filter{Child: out, Pred: andAll(rest)}
-			}
-			return out
-		}
-		return x
-	case *Project:
-		x.Child = useIndexes(x.Child)
-	case *NestLoop:
-		x.Left = useIndexes(x.Left)
-		x.Right = useIndexes(x.Right)
-		x.On = mapSubplans(x.On, useIndexes)
-	case *HashJoin:
-		x.Left = useIndexes(x.Left)
-		x.Right = useIndexes(x.Right)
-		x.Residual = mapSubplans(x.Residual, useIndexes)
-	case *Apply:
-		x.Child = useIndexes(x.Child)
-		// The sub's correlation keys are OuterRefs — row-independent from
-		// the sub's own perspective, so a correlated equality becomes an
-		// index probe re-keyed per rescan.
-		x.Sub = useIndexes(x.Sub)
-	case *Materialize:
-		x.Child = useIndexes(x.Child)
-	case *Agg:
-		x.Child = useIndexes(x.Child)
-	case *Window:
-		x.Child = useIndexes(x.Child)
-	case *Sort:
-		x.Child = useIndexes(x.Child)
-	case *Limit:
-		x.Child = useIndexes(x.Child)
-	case *Distinct:
-		x.Child = useIndexes(x.Child)
-	case *Append:
-		for i := range x.Children {
-			x.Children[i] = useIndexes(x.Children[i])
-		}
-	case *SetOp:
-		x.L = useIndexes(x.L)
-		x.R = useIndexes(x.R)
-	case *RecursiveUnion:
-		x.NonRec = useIndexes(x.NonRec)
-		x.Rec = useIndexes(x.Rec)
-	case *WithNode:
-		x.Child = useIndexes(x.Child)
+	descend(n, useIndexes)
+	x, ok := n.(*Filter)
+	if !ok {
+		return n
 	}
-	// Expressions with subplans live in Filter/Project/Result/Values/Agg…
-	switch x := n.(type) {
-	case *Filter:
-		x.Pred = mapSubplans(x.Pred, useIndexes)
-	case *Project:
-		for i := range x.Exprs {
-			x.Exprs[i] = mapSubplans(x.Exprs[i], useIndexes)
+	scan, ok := x.Child.(*SeqScan)
+	if !ok {
+		return n
+	}
+	conjuncts := splitConjuncts(x.Pred)
+	for i, c := range conjuncts {
+		col, key, ok := indexableEquality(c, scan.Table)
+		if !ok {
+			continue
 		}
-	case *Result:
-		for i := range x.Exprs {
-			x.Exprs[i] = mapSubplans(x.Exprs[i], useIndexes)
+		rest := make([]Expr, 0, len(conjuncts)-1)
+		rest = append(rest, conjuncts[:i]...)
+		rest = append(rest, conjuncts[i+1:]...)
+		var out Node = &IndexScan{Table: scan.Table, Col: col, Key: key}
+		if len(rest) > 0 {
+			out = &Filter{Child: out, Pred: andAll(rest)}
 		}
-	case *ValuesNode:
-		for _, row := range x.Rows {
-			for i := range row {
-				row[i] = mapSubplans(row[i], useIndexes)
-			}
-		}
-	case *Agg:
-		for i := range x.GroupBy {
-			x.GroupBy[i] = mapSubplans(x.GroupBy[i], useIndexes)
-		}
-		for i := range x.Aggs {
-			x.Aggs[i].Arg = mapSubplans(x.Aggs[i].Arg, useIndexes)
-		}
-	case *Window:
-		for i := range x.Funcs {
-			x.Funcs[i].Arg = mapSubplans(x.Funcs[i].Arg, useIndexes)
-		}
-	case *Sort:
-		for i := range x.Keys {
-			x.Keys[i].Expr = mapSubplans(x.Keys[i].Expr, useIndexes)
-		}
+		return out
 	}
 	return n
 }
@@ -171,58 +100,19 @@ func indexableEquality(e Expr, tbl *catalog.Table) (int, Expr, bool) {
 }
 
 // rowIndependent reports whether e can be evaluated without an input row.
+// Volatile builtins count as row-dependent: a probe key is re-evaluated
+// per rescan, out of the row order their draws follow.
 func rowIndependent(e Expr) bool {
 	ok := true
-	var walk func(Expr)
-	walk = func(x Expr) {
-		if x == nil || !ok {
-			return
-		}
+	walkExpr(e, func(x Expr) {
 		switch v := x.(type) {
-		case *InputRef, *SubplanExpr:
+		case *InputRef, *SubplanExpr, *UDFCallExpr:
 			ok = false
-		case *BinOp:
-			walk(v.L)
-			walk(v.R)
-		case *UnaryOp:
-			walk(v.X)
-		case *IsNullExpr:
-			walk(v.X)
-		case *BetweenExpr:
-			walk(v.X)
-			walk(v.Lo)
-			walk(v.Hi)
-		case *InListExpr:
-			walk(v.X)
-			for _, i := range v.List {
-				walk(i)
-			}
-		case *CaseExpr:
-			walk(v.Operand)
-			for _, w := range v.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(v.Else)
 		case *FuncExpr:
 			if v.Name == "random" || v.Name == "setseed" {
-				ok = false // volatile: must not be re-evaluated per rescan out of order
+				ok = false
 			}
-			for _, a := range v.Args {
-				walk(a)
-			}
-		case *CastExpr:
-			walk(v.X)
-		case *RowCtor:
-			for _, f := range v.Fields {
-				walk(f)
-			}
-		case *FieldSel:
-			walk(v.X)
-		case *UDFCallExpr:
-			ok = false
 		}
-	}
-	walk(e)
+	})
 	return ok
 }

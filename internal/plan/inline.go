@@ -53,7 +53,7 @@ func (fr *inlineFrame) paramIndex(name string) (int, bool) {
 // half-bound body must not silently fall back, because the binder's CTE
 // and scope state has already moved.
 func (b *binder) tryInline(fn *catalog.Function, argASTs []sqlast.Expr) (Expr, bool, error) {
-	if b.opts.NoInline || fn.SQLBody == nil || fn.Volatile {
+	if b.opts.Skip&PassInline != 0 || fn.SQLBody == nil || fn.Volatile {
 		return nil, false, nil
 	}
 	if fn.Kind != catalog.FuncSQL && fn.Kind != catalog.FuncCompiled {
@@ -261,68 +261,13 @@ func constAST(e sqlast.Expr) bool {
 // plain expression nodes appear. Mutates in place where possible;
 // InputRefs are replaced.
 func shiftOuterDepth(e Expr, d int) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Const, *ParamRef:
-		return e
-	case *InputRef:
-		return &OuterRef{Depth: d - 1, Idx: x.Idx}
-	case *OuterRef:
-		x.Depth += d
-		return x
-	case *BinOp:
-		x.L = shiftOuterDepth(x.L, d)
-		x.R = shiftOuterDepth(x.R, d)
-		return x
-	case *UnaryOp:
-		x.X = shiftOuterDepth(x.X, d)
-		return x
-	case *IsNullExpr:
-		x.X = shiftOuterDepth(x.X, d)
-		return x
-	case *BetweenExpr:
-		x.X = shiftOuterDepth(x.X, d)
-		x.Lo = shiftOuterDepth(x.Lo, d)
-		x.Hi = shiftOuterDepth(x.Hi, d)
-		return x
-	case *InListExpr:
-		x.X = shiftOuterDepth(x.X, d)
-		for i := range x.List {
-			x.List[i] = shiftOuterDepth(x.List[i], d)
+	return mapExpr(e, func(x Expr) Expr {
+		switch r := x.(type) {
+		case *InputRef:
+			return &OuterRef{Depth: d - 1, Idx: r.Idx}
+		case *OuterRef:
+			r.Depth += d
 		}
 		return x
-	case *CaseExpr:
-		x.Operand = shiftOuterDepth(x.Operand, d)
-		for i := range x.Whens {
-			x.Whens[i].Cond = shiftOuterDepth(x.Whens[i].Cond, d)
-			x.Whens[i].Result = shiftOuterDepth(x.Whens[i].Result, d)
-		}
-		x.Else = shiftOuterDepth(x.Else, d)
-		return x
-	case *FuncExpr:
-		for i := range x.Args {
-			x.Args[i] = shiftOuterDepth(x.Args[i], d)
-		}
-		return x
-	case *CastExpr:
-		x.X = shiftOuterDepth(x.X, d)
-		return x
-	case *RowCtor:
-		for i := range x.Fields {
-			x.Fields[i] = shiftOuterDepth(x.Fields[i], d)
-		}
-		return x
-	case *FieldSel:
-		x.X = shiftOuterDepth(x.X, d)
-		return x
-	case *UDFCallExpr:
-		for i := range x.Args {
-			x.Args[i] = shiftOuterDepth(x.Args[i], d)
-		}
-		return x
-	default:
-		// SubplanExpr cannot occur (see inlinableArg / argBind gate).
-		return e
-	}
+	})
 }

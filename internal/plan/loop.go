@@ -28,9 +28,10 @@ import "plsqlaway/internal/sqltypes"
 // on the generic operators, and EXPLAIN says why.
 
 // lowerLoops flattens let-chains everywhere and lowers every trampoline
-// CTE it can, returning the new root and the number of CTEs lowered.
-// ctes is updated in place (a lowered CTE keeps its slot, with no plan).
-func lowerLoops(root Node, ctes []CTEDef) (Node, int) {
+// CTE it can, counting them in p.LoopedCTEs. A lowered CTE keeps its
+// slot, with no plan.
+func lowerLoops(p *Plan) {
+	ctes := p.CTEs
 	// Reference counts per CTE: the lowering is only sound when the one
 	// scan it absorbs is the only reader. (Plans without a recursive CTE —
 	// nearly all of them — skip the census.)
@@ -49,7 +50,7 @@ func lowerLoops(root Node, ctes []CTEDef) (Node, int) {
 	same := func(e Expr) Expr { return e }
 	for i := range ctes {
 		if ctes[i].Recursive {
-			mapPlan(root, count, same)
+			mapPlan(p.Root, count, same)
 			for j := range ctes {
 				mapPlan(ctes[j].Plan, count, same)
 			}
@@ -57,7 +58,6 @@ func lowerLoops(root Node, ctes []CTEDef) (Node, int) {
 		}
 	}
 
-	looped := 0
 	lower := func(n Node) Node {
 		w, ok := n.(*WithNode)
 		if !ok {
@@ -80,7 +80,7 @@ func lowerLoops(root Node, ctes []CTEDef) (Node, int) {
 				continue
 			}
 			ctes[idx].Plan = nil
-			looped++
+			p.LoopedCTEs++
 			if last == 0 {
 				return loop
 			}
@@ -95,7 +95,7 @@ func lowerLoops(root Node, ctes []CTEDef) (Node, int) {
 	for i := len(ctes) - 1; i >= 0; i-- {
 		ctes[i].Plan = mapPlan(ctes[i].Plan, lower, flattenLet)
 	}
-	return mapPlan(root, lower, flattenLet), looped
+	p.Root = mapPlan(p.Root, lower, flattenLet)
 }
 
 // matchTrampoline checks one recursive CTE and the body of its WITH

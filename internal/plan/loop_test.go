@@ -90,9 +90,9 @@ func TestLoopLowersHandWrittenTrampoline(t *testing.T) {
 		if got := run(t, p); got != "[[55 11]]" {
 			t.Errorf("%s: rows %s, want [[55 11]]", with, got)
 		}
-		generic := build(t, with+sumToCTE+sumToQuery, plan.Options{NoLoop: true})
+		generic := build(t, with+sumToCTE+sumToQuery, plan.Options{Skip: plan.PassLoop})
 		if generic.LoopedCTEs != 0 || !strings.Contains(explain(generic), "RecursiveUnion (cte[0]") {
-			t.Errorf("%s: NoLoop plan:\n%s", with, explain(generic))
+			t.Errorf("%s: loop-skipped plan:\n%s", with, explain(generic))
 		}
 		if got := run(t, generic); got != "[[55 11]]" {
 			t.Errorf("%s: generic rows %s", with, got)
@@ -161,7 +161,7 @@ func TestLoopNearMisses(t *testing.T) {
 			if !strings.Contains(ex, "RecursiveUnion (cte[0]") || !strings.Contains(ex, "not lowered: "+c.reason+")") {
 				t.Errorf("EXPLAIN should give the reason %q:\n%s", c.reason, ex)
 			}
-			got, want := run(t, p), run(t, build(t, c.sql, plan.Options{NoLoop: true}))
+			got, want := run(t, p), run(t, build(t, c.sql, plan.Options{Skip: plan.PassLoop}))
 			if got != want || got != c.rows {
 				t.Errorf("rows %s, generic plan %s, want %s", got, want, c.rows)
 			}
@@ -208,7 +208,7 @@ func TestLetFlattening(t *testing.T) {
 			if c.flat && (strings.Contains(ex, "subplan") || strings.Contains(ex, "NestLoop")) {
 				t.Errorf("chain operators survive:\n%s", ex)
 			}
-			got, want := run(t, p), run(t, build(t, c.sql, plan.Options{NoLoop: true}))
+			got, want := run(t, p), run(t, build(t, c.sql, plan.Options{Skip: plan.PassLoop}))
 			if got != want || got != c.rows {
 				t.Errorf("rows %s, unflattened plan %s, want %s", got, want, c.rows)
 			}

@@ -93,16 +93,16 @@ subplan(scalar) memo [outer(1).#2]
 			}
 			return 0, false
 		}
-		for _, noMemo := range []bool{false, true} {
-			p, err := plan.Build(cat, q, plan.Options{Hook: hook, NoMemo: noMemo})
+		for _, skip := range []plan.Pass{0, plan.PassMemo} {
+			p, err := plan.Build(cat, q, plan.Options{Hook: hook, Skip: skip})
 			if err != nil {
 				t.Fatal(err)
 			}
 			text := explain(p)
 			got := loopSubplans(text)
-			if noMemo {
+			if skip != 0 {
 				if strings.Contains(text, "Memo [") || strings.Contains(text, "memo") || strings.Contains(text, "hoisted") {
-					t.Errorf("%s: NoMemo plan has memo decisions:\n%s", name, text)
+					t.Errorf("%s: memo-skipped plan has memo decisions:\n%s", name, text)
 				}
 				continue
 			}
@@ -121,7 +121,7 @@ subplan(scalar) memo [outer(1).#2]
 // hand-written trampoline. Pure subplans get a memo — hoisted when they
 // read no loop state, below the row-local filter that reads it when only
 // that filter does — and the rest say why not. Every plan returns what
-// its NoMemo twin returns.
+// its memo-skipped twin returns.
 func TestMemoPlacementShapes(t *testing.T) {
 	cases := []struct {
 		name, sub, note, tree string
@@ -155,8 +155,8 @@ func TestMemoPlacementShapes(t *testing.T) {
 			if !strings.Contains(subs, "\n  "+strings.ReplaceAll(c.tree, "\n", "\n  ")) {
 				t.Errorf("want the subtree\n%s\nin\n%s", c.tree, subs)
 			}
-			if got, want := run(t, p), run(t, build(t, sql, plan.Options{NoMemo: true})); got != want {
-				t.Errorf("rows %s, NoMemo plan %s", got, want)
+			if got, want := run(t, p), run(t, build(t, sql, plan.Options{Skip: plan.PassMemo})); got != want {
+				t.Errorf("rows %s, memo-skipped plan %s", got, want)
 			}
 		})
 	}

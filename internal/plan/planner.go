@@ -8,61 +8,13 @@ import (
 	"plsqlaway/internal/sqltypes"
 )
 
-// Build plans a full query against the catalog.
+// Build plans a full query against the catalog: the binder, then the
+// rewrite passes in order, each over every CTE plan and the root.
 func Build(cat *catalog.Catalog, q *sqlast.Query, opts Options) (*Plan, error) {
 	b := &binder{cat: cat, opts: opts}
 	root, names, err := b.planQuery(q)
 	if err != nil {
 		return nil, err
-	}
-	// Fold constants first (inlined constant arguments propagate through
-	// their bodies), then lower inlined subplans to Apply nodes and
-	// decorrelate; index and hash-join selection run over the result.
-	root = foldConstants(root)
-	root = hoistInlineApplies(root)
-	for i := range b.allCTEs {
-		if b.allCTEs[i].Plan != nil {
-			b.allCTEs[i].Plan = hoistInlineApplies(foldConstants(b.allCTEs[i].Plan))
-		}
-	}
-	root = useIndexes(root)
-	for i := range b.allCTEs {
-		if b.allCTEs[i].Plan != nil {
-			b.allCTEs[i].Plan = useIndexes(b.allCTEs[i].Plan)
-		}
-	}
-	if !opts.NoHashJoin {
-		root = useHashJoins(root)
-		for i := range b.allCTEs {
-			if b.allCTEs[i].Plan != nil {
-				b.allCTEs[i].Plan = useHashJoins(b.allCTEs[i].Plan)
-			}
-		}
-	}
-	// Specialise to the compiler's output: trampoline CTEs become Loop
-	// operators and let-chains LetExprs (loop.go). It runs on the settled
-	// tree, so every earlier pass sees exactly the shapes it always saw.
-	// Both shapes need a subquery or a CTE; bulk INSERT … VALUES plans,
-	// which have neither, skip the traversal.
-	looped := 0
-	if !opts.NoLoop && (b.subqueries > 0 || len(b.allCTEs) > 0) {
-		root, looped = lowerLoops(root, b.allCTEs)
-	}
-	// Clean up inlining byproducts (no-op casts, permutation Projects) now
-	// that decorrelation and join selection have settled the tree shape.
-	root = simplifyNode(root)
-	for i := range b.allCTEs {
-		if b.allCTEs[i].Plan != nil {
-			b.allCTEs[i].Plan = simplifyNode(b.allCTEs[i].Plan)
-		}
-	}
-	// Memoise the embedded queries of the loops just lowered (memo.go),
-	// on the final tree so the keys are the outer references it reads.
-	if looped > 0 && !opts.NoMemo {
-		root = memoiseLoops(root)
-		for i := range b.allCTEs {
-			b.allCTEs[i].Plan = memoiseLoops(b.allCTEs[i].Plan)
-		}
 	}
 	p := &Plan{
 		Root:             root,
@@ -72,11 +24,57 @@ func Build(cat *catalog.Catalog, q *sqlast.Query, opts Options) (*Plan, error) {
 		CatalogVersion:   cat.Version,
 		InlinedCalls:     b.inlinedCalls,
 		SpecializedCalls: b.specializedCalls,
-		LoopedCTEs:       looped,
+	}
+	for _, ps := range passes {
+		if opts.Skip&ps.skip != 0 || (ps.when != nil && !ps.when(p, b.subqueries)) {
+			continue
+		}
+		if ps.whole != nil {
+			ps.whole(p)
+			continue
+		}
+		for i := range p.CTEs {
+			if p.CTEs[i].Plan != nil {
+				p.CTEs[i].Plan = ps.tree(p.CTEs[i].Plan)
+			}
+		}
+		p.Root = ps.tree(p.Root)
 	}
 	p.CountNodes()
 	p.volatile = p.scanVolatile()
 	return p, nil
+}
+
+// pass is one rewrite of Build's pipeline. tree rewrites one plan tree
+// and runs on every CTE plan and the root; whole sees them all at once.
+// when, if set, says whether the pass can find anything in a plan whose
+// expressions bound the given number of subqueries.
+type pass struct {
+	skip  Pass // the Options.Skip bit that turns it off; 0: always runs
+	when  func(p *Plan, subqueries int) bool
+	tree  func(Node) Node
+	whole func(*Plan)
+}
+
+// passes is Build's pipeline, in order. Folding comes first, so inlined
+// constant arguments propagate through their bodies; then inlined
+// subplans lower to Apply nodes and decorrelate, and index and hash-join
+// selection run over the result. Loop lowering runs on the settled tree,
+// so every earlier pass sees exactly the shapes it always saw; its two
+// shapes need a subquery or a CTE, so bulk INSERT … VALUES plans skip it.
+// Simplify cleans up inlining byproducts (no-op casts, permutation
+// Projects) once the tree shape has settled, and the memo pass keys the
+// loops just lowered on the outer references of that final tree.
+var passes = []pass{
+	{tree: foldConstants},
+	{tree: hoistInlineApplies},
+	{tree: useIndexes},
+	{skip: PassHashJoin, tree: useHashJoins},
+	{skip: PassLoop, whole: lowerLoops,
+		when: func(p *Plan, subqueries int) bool { return subqueries > 0 || len(p.CTEs) > 0 }},
+	{tree: simplifyNode},
+	{skip: PassMemo, tree: memoiseLoops,
+		when: func(p *Plan, _ int) bool { return p.LoopedCTEs > 0 }},
 }
 
 // BuildScalarExpr compiles a standalone scalar expression (the
@@ -468,8 +466,11 @@ func (b *binder) planSelect(s *sqlast.Select) (Node, []string, error) {
 // PostgreSQL-style — arbitrary expressions over the FROM row, planned as
 // hidden sort columns and stripped after the sort.
 func (b *binder) planSelectOrdered(s *sqlast.Select, orderBy []sqlast.OrderItem) (Node, []string, error) {
-	outer := b.scope
-	defer func() { b.scope = outer }()
+	// A subquery binds with its own grouping and window state and leaves
+	// the enclosing SELECT's as it found it.
+	outer, outerAgg, outerWin := b.scope, b.agg, b.windows
+	b.agg, b.windows = nil, nil
+	defer func() { b.scope, b.agg, b.windows = outer, outerAgg, outerWin }()
 
 	// ---- FROM ----
 	combined := &scope{parent: outer}
@@ -537,7 +538,6 @@ func (b *binder) planSelectOrdered(s *sqlast.Select, orderBy []sqlast.OrderItem)
 			return nil, nil, err
 		}
 	}
-	defer func() { b.agg = nil }()
 
 	// ---- HAVING ----
 	if s.Having != nil {
@@ -559,7 +559,6 @@ func (b *binder) planSelectOrdered(s *sqlast.Select, orderBy []sqlast.OrderItem)
 			return nil, nil, err
 		}
 	}
-	defer func() { b.windows = nil }()
 
 	// ---- projection ----
 	var exprs []Expr

@@ -128,59 +128,15 @@ func exprKind(e Expr, schema []sqltypes.Kind, known bool) (sqltypes.Kind, bool) 
 }
 
 // simplifyExpr rewrites e over a row of the given schema, dropping no-op
-// casts and recursing into nested subplans.
+// casts (nested plans are simplifyNode's own).
 func simplifyExpr(e Expr, schema []sqltypes.Kind, known bool) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Const, *InputRef, *OuterRef, *ParamRef:
-		return e
-	case *BinOp:
-		x.L = simplifyExpr(x.L, schema, known)
-		x.R = simplifyExpr(x.R, schema, known)
-	case *UnaryOp:
-		x.X = simplifyExpr(x.X, schema, known)
-	case *IsNullExpr:
-		x.X = simplifyExpr(x.X, schema, known)
-	case *BetweenExpr:
-		x.X = simplifyExpr(x.X, schema, known)
-		x.Lo = simplifyExpr(x.Lo, schema, known)
-		x.Hi = simplifyExpr(x.Hi, schema, known)
-	case *InListExpr:
-		x.X = simplifyExpr(x.X, schema, known)
-		for i := range x.List {
-			x.List[i] = simplifyExpr(x.List[i], schema, known)
-		}
-	case *CaseExpr:
-		x.Operand = simplifyExpr(x.Operand, schema, known)
-		for i := range x.Whens {
-			x.Whens[i].Cond = simplifyExpr(x.Whens[i].Cond, schema, known)
-			x.Whens[i].Result = simplifyExpr(x.Whens[i].Result, schema, known)
-		}
-		x.Else = simplifyExpr(x.Else, schema, known)
-	case *FuncExpr:
-		for i := range x.Args {
-			x.Args[i] = simplifyExpr(x.Args[i], schema, known)
-		}
-	case *CastExpr:
-		x.X = simplifyExpr(x.X, schema, known)
+	if _, ok := e.(*LetExpr); ok {
+		schema, known = nil, false // its operands read the rows it pushes
+	}
+	exprChildren(e, func(c Expr) Expr { return simplifyExpr(c, schema, known) })
+	if x, ok := e.(*CastExpr); ok {
 		if k, ok := exprKind(x.X, schema, known); ok && k == x.Type.Kind {
 			return x.X
-		}
-	case *RowCtor:
-		for i := range x.Fields {
-			x.Fields[i] = simplifyExpr(x.Fields[i], schema, known)
-		}
-	case *FieldSel:
-		x.X = simplifyExpr(x.X, schema, known)
-	case *SubplanExpr:
-		x.Plan = simplifyNode(x.Plan)
-		x.CompareX = simplifyExpr(x.CompareX, schema, known)
-	case *LetExpr:
-		exprChildren(x, func(c Expr) Expr { return simplifyExpr(c, nil, false) })
-	case *UDFCallExpr:
-		for i := range x.Args {
-			x.Args[i] = simplifyExpr(x.Args[i], schema, known)
 		}
 	}
 	return e
@@ -221,63 +177,14 @@ func remappable(exprs []Expr) bool {
 	return true
 }
 
-// walkExpr visits e and every nested sub-expression (not nested plans).
-func walkExpr(e Expr, f func(Expr)) {
-	if e == nil {
-		return
-	}
-	f(e)
-	exprChildren(e, func(c Expr) Expr { walkExpr(c, f); return c })
-}
-
 // remapInputRefs rewrites every InputRef in e through perm.
 func remapInputRefs(e Expr, perm []int) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *InputRef:
-		return &InputRef{Idx: perm[x.Idx]}
-	case *BinOp:
-		x.L = remapInputRefs(x.L, perm)
-		x.R = remapInputRefs(x.R, perm)
-	case *UnaryOp:
-		x.X = remapInputRefs(x.X, perm)
-	case *IsNullExpr:
-		x.X = remapInputRefs(x.X, perm)
-	case *BetweenExpr:
-		x.X = remapInputRefs(x.X, perm)
-		x.Lo = remapInputRefs(x.Lo, perm)
-		x.Hi = remapInputRefs(x.Hi, perm)
-	case *InListExpr:
-		x.X = remapInputRefs(x.X, perm)
-		for i := range x.List {
-			x.List[i] = remapInputRefs(x.List[i], perm)
+	return mapExpr(e, func(x Expr) Expr {
+		if r, ok := x.(*InputRef); ok {
+			return &InputRef{Idx: perm[r.Idx]}
 		}
-	case *CaseExpr:
-		x.Operand = remapInputRefs(x.Operand, perm)
-		for i := range x.Whens {
-			x.Whens[i].Cond = remapInputRefs(x.Whens[i].Cond, perm)
-			x.Whens[i].Result = remapInputRefs(x.Whens[i].Result, perm)
-		}
-		x.Else = remapInputRefs(x.Else, perm)
-	case *FuncExpr:
-		for i := range x.Args {
-			x.Args[i] = remapInputRefs(x.Args[i], perm)
-		}
-	case *CastExpr:
-		x.X = remapInputRefs(x.X, perm)
-	case *RowCtor:
-		for i := range x.Fields {
-			x.Fields[i] = remapInputRefs(x.Fields[i], perm)
-		}
-	case *FieldSel:
-		x.X = remapInputRefs(x.X, perm)
-	case *UDFCallExpr:
-		for i := range x.Args {
-			x.Args[i] = remapInputRefs(x.Args[i], perm)
-		}
-	}
-	return e
+		return x
+	})
 }
 
 // mergePermProject collapses a bare-column-reference Project child into a
@@ -306,53 +213,19 @@ func mergePermProject(child Node, exprLists ...[]Expr) Node {
 	return p.Child
 }
 
-// simplifyNode rewrites the tree bottom-up.
+// simplifyNode rewrites the tree bottom-up. Each operator's expressions
+// simplify over the row they read: the child's, or the joined pair's.
 func simplifyNode(n Node) Node {
+	descend(n, simplifyNode)
+	var schema []sqltypes.Kind
+	known := false
 	switch x := n.(type) {
-	case nil:
-		return nil
-	case *Result:
-		for i := range x.Exprs {
-			x.Exprs[i] = simplifyExpr(x.Exprs[i], nil, false)
-		}
 	case *Filter:
-		x.Child = simplifyNode(x.Child)
-		schema, known := nodeKinds(x.Child)
-		x.Pred = simplifyExpr(x.Pred, schema, known)
+		schema, known = nodeKinds(x.Child)
 	case *Project:
-		x.Child = simplifyNode(x.Child)
 		x.Child = mergePermProject(x.Child, x.Exprs)
-		schema, known := nodeKinds(x.Child)
-		for i := range x.Exprs {
-			x.Exprs[i] = simplifyExpr(x.Exprs[i], schema, known)
-		}
-	case *IndexScan:
-		x.Key = simplifyExpr(x.Key, nil, false)
-	case *NestLoop:
-		x.Left = simplifyNode(x.Left)
-		x.Right = simplifyNode(x.Right)
-		schema, known := joinKinds(x.Left, x.Right)
-		x.On = simplifyExpr(x.On, schema, known)
-	case *HashJoin:
-		x.Left = simplifyNode(x.Left)
-		x.Right = simplifyNode(x.Right)
-		lk, lok := nodeKinds(x.Left)
-		rk, rok := nodeKinds(x.Right)
-		for i := range x.LeftKeys {
-			x.LeftKeys[i] = simplifyExpr(x.LeftKeys[i], lk, lok)
-		}
-		for i := range x.RightKeys {
-			x.RightKeys[i] = simplifyExpr(x.RightKeys[i], rk, rok)
-		}
-		schema, known := joinKinds(x.Left, x.Right)
-		x.Residual = simplifyExpr(x.Residual, schema, known)
-	case *Apply:
-		x.Child = simplifyNode(x.Child)
-		x.Sub = simplifyNode(x.Sub)
-	case *Materialize:
-		x.Child = simplifyNode(x.Child)
+		schema, known = nodeKinds(x.Child)
 	case *Agg:
-		x.Child = simplifyNode(x.Child)
 		aggArgs := make([]Expr, 0, 2*len(x.Aggs))
 		for i := range x.Aggs {
 			aggArgs = append(aggArgs, x.Aggs[i].Arg, x.Aggs[i].Sep)
@@ -362,60 +235,27 @@ func simplifyNode(n Node) Node {
 			x.Aggs[i].Arg = aggArgs[2*i]
 			x.Aggs[i].Sep = aggArgs[2*i+1]
 		}
-		schema, known := nodeKinds(x.Child)
-		for i := range x.GroupBy {
-			x.GroupBy[i] = simplifyExpr(x.GroupBy[i], schema, known)
-		}
-		for i := range x.Aggs {
-			x.Aggs[i].Arg = simplifyExpr(x.Aggs[i].Arg, schema, known)
-			x.Aggs[i].Sep = simplifyExpr(x.Aggs[i].Sep, schema, known)
-		}
+		schema, known = nodeKinds(x.Child)
 	case *Window:
-		x.Child = simplifyNode(x.Child)
-		schema, known := nodeKinds(x.Child)
-		for i := range x.Funcs {
-			f := &x.Funcs[i]
-			f.Arg = simplifyExpr(f.Arg, schema, known)
-			f.Offset = simplifyExpr(f.Offset, schema, known)
-			for j := range f.PartitionBy {
-				f.PartitionBy[j] = simplifyExpr(f.PartitionBy[j], schema, known)
-			}
-			for j := range f.OrderBy {
-				f.OrderBy[j].Expr = simplifyExpr(f.OrderBy[j].Expr, schema, known)
-			}
-		}
+		schema, known = nodeKinds(x.Child)
 	case *Sort:
-		x.Child = simplifyNode(x.Child)
-		schema, known := nodeKinds(x.Child)
-		for i := range x.Keys {
-			x.Keys[i].Expr = simplifyExpr(x.Keys[i].Expr, schema, known)
+		schema, known = nodeKinds(x.Child)
+	case *NestLoop:
+		schema, known = joinKinds(x.Left, x.Right)
+	case *HashJoin:
+		// Each side's keys read that side's row alone.
+		lk, lok := nodeKinds(x.Left)
+		rk, rok := nodeKinds(x.Right)
+		for i := range x.LeftKeys {
+			x.LeftKeys[i] = simplifyExpr(x.LeftKeys[i], lk, lok)
 		}
-	case *Limit:
-		x.Child = simplifyNode(x.Child)
-		x.Limit = simplifyExpr(x.Limit, nil, false)
-		x.Offset = simplifyExpr(x.Offset, nil, false)
-	case *Distinct:
-		x.Child = simplifyNode(x.Child)
-	case *Append:
-		for i := range x.Children {
-			x.Children[i] = simplifyNode(x.Children[i])
+		for i := range x.RightKeys {
+			x.RightKeys[i] = simplifyExpr(x.RightKeys[i], rk, rok)
 		}
-	case *SetOp:
-		x.L = simplifyNode(x.L)
-		x.R = simplifyNode(x.R)
-	case *ValuesNode:
-		for _, row := range x.Rows {
-			for i := range row {
-				row[i] = simplifyExpr(row[i], nil, false)
-			}
-		}
-	case *RecursiveUnion:
-		x.NonRec = simplifyNode(x.NonRec)
-		x.Rec = simplifyNode(x.Rec)
-	case *WithNode:
-		x.Child = simplifyNode(x.Child)
-	case *Loop:
-		nodeExprs(x, func(e Expr) Expr { return simplifyExpr(e, nil, false) })
+		schema, known = joinKinds(x.Left, x.Right)
+		x.Residual = simplifyExpr(x.Residual, schema, known)
+		return n
 	}
+	nodeExprs(n, func(e Expr) Expr { return simplifyExpr(e, schema, known) })
 	return n
 }

@@ -94,7 +94,7 @@ func TestInlineLiftsBatchClamp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := Build(cat, q, Options{NoInline: true})
+		op, err := Build(cat, q, Options{Skip: PassInline})
 		if err != nil {
 			t.Fatal(err)
 		}

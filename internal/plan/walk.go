@@ -6,7 +6,18 @@ package plan
 // so a pass is the composition it needs and no more. A callback that
 // returns its argument makes the walk read-only: nothing is written, which
 // is what lets HasVolatile run over a cached plan that other sessions are
-// reading. mapExpr and mapPlan are the compositions used more than once.
+// reading. mapExpr, mapPlan and descend are the compositions used more
+// than once.
+//
+// The rule: a new operator or expression type is added here — its
+// children to nodeChildren, its expressions to nodeExprs, its operands to
+// exprChildren — and every rewrite pass then reaches it, and every
+// subquery under it. A pass keeps a case only where it does its own work.
+// The switches that list types on purpose stay where they are:
+// collectInlineSubs (it must skip lazily evaluated positions), cloneExpr
+// (it copies each type's own slices), explain.go (each type renders
+// differently) and the executor's instantiation (each type builds its own
+// operator).
 
 // nodeChildren applies f to each child operator of n in place.
 func nodeChildren(n Node, f func(Node) Node) {
@@ -205,6 +216,22 @@ func mapSubplans(e Expr, pass func(Node) Node) Expr {
 		}
 		return x
 	})
+}
+
+// descend applies pass to each child of n and to every plan nested in
+// n's expressions: the recursion step of a per-node rewrite pass.
+func descend(n Node, pass func(Node) Node) {
+	nodeChildren(n, pass)
+	nodeExprs(n, func(e Expr) Expr { return mapSubplans(e, pass) })
+}
+
+// walkExpr visits e and every nested sub-expression (not nested plans).
+func walkExpr(e Expr, f func(Expr)) {
+	if e == nil {
+		return
+	}
+	f(e)
+	exprChildren(e, func(c Expr) Expr { walkExpr(c, f); return c })
 }
 
 // mapPlan rewrites a whole operator tree bottom-up, plans nested in

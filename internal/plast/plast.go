@@ -7,9 +7,6 @@
 package plast
 
 import (
-	"fmt"
-	"strings"
-
 	"plsqlaway/internal/sqlast"
 	"plsqlaway/internal/sqltypes"
 )
@@ -130,102 +127,3 @@ func (*Return) isStmt()   {}
 func (*Perform) isStmt()  {}
 func (*Raise) isStmt()    {}
 func (*NullStmt) isStmt() {}
-
-// Dump renders the function in a compact, readable form used by golden
-// tests and the plsqlc --emit=ast mode.
-func (f *Function) Dump() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "function %s(", f.Name)
-	for i, p := range f.Params {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s %s", p.Name, p.Type)
-	}
-	fmt.Fprintf(&sb, ") returns %s\n", f.ReturnType)
-	for _, d := range f.Decls {
-		fmt.Fprintf(&sb, "  declare %s %s", d.Name, d.Type)
-		if d.Init != nil {
-			fmt.Fprintf(&sb, " = %s", sqlast.DeparseExpr(d.Init))
-		}
-		sb.WriteString("\n")
-	}
-	dumpStmts(&sb, f.Body, 1)
-	return sb.String()
-}
-
-func dumpStmts(sb *strings.Builder, stmts []Stmt, depth int) {
-	ind := strings.Repeat("  ", depth)
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *Assign:
-			fmt.Fprintf(sb, "%s%s = %s\n", ind, s.Name, sqlast.DeparseExpr(s.Expr))
-		case *If:
-			fmt.Fprintf(sb, "%sif %s then\n", ind, sqlast.DeparseExpr(s.Cond))
-			dumpStmts(sb, s.Then, depth+1)
-			for _, ei := range s.ElseIfs {
-				fmt.Fprintf(sb, "%selsif %s then\n", ind, sqlast.DeparseExpr(ei.Cond))
-				dumpStmts(sb, ei.Body, depth+1)
-			}
-			if len(s.Else) > 0 {
-				fmt.Fprintf(sb, "%selse\n", ind)
-				dumpStmts(sb, s.Else, depth+1)
-			}
-			fmt.Fprintf(sb, "%send if\n", ind)
-		case *Loop:
-			fmt.Fprintf(sb, "%s%sloop\n", ind, labelPrefix(s.Label))
-			dumpStmts(sb, s.Body, depth+1)
-			fmt.Fprintf(sb, "%send loop\n", ind)
-		case *While:
-			fmt.Fprintf(sb, "%s%swhile %s loop\n", ind, labelPrefix(s.Label), sqlast.DeparseExpr(s.Cond))
-			dumpStmts(sb, s.Body, depth+1)
-			fmt.Fprintf(sb, "%send loop\n", ind)
-		case *ForRange:
-			rev := ""
-			if s.Reverse {
-				rev = "reverse "
-			}
-			fmt.Fprintf(sb, "%s%sfor %s in %s%s..%s", ind, labelPrefix(s.Label), s.Var, rev,
-				sqlast.DeparseExpr(s.From), sqlast.DeparseExpr(s.To))
-			if s.Step != nil {
-				fmt.Fprintf(sb, " by %s", sqlast.DeparseExpr(s.Step))
-			}
-			sb.WriteString(" loop\n")
-			dumpStmts(sb, s.Body, depth+1)
-			fmt.Fprintf(sb, "%send loop\n", ind)
-		case *Exit:
-			fmt.Fprintf(sb, "%sexit%s%s\n", ind, labelSuffix(s.Label), whenSuffix(s.When))
-		case *Continue:
-			fmt.Fprintf(sb, "%scontinue%s%s\n", ind, labelSuffix(s.Label), whenSuffix(s.When))
-		case *Return:
-			fmt.Fprintf(sb, "%sreturn %s\n", ind, sqlast.DeparseExpr(s.Expr))
-		case *Perform:
-			fmt.Fprintf(sb, "%sperform %s\n", ind, sqlast.DeparseQuery(s.Query))
-		case *Raise:
-			fmt.Fprintf(sb, "%sraise %s %q\n", ind, strings.ToLower(s.Level), s.Format)
-		case *NullStmt:
-			fmt.Fprintf(sb, "%snull\n", ind)
-		}
-	}
-}
-
-func labelPrefix(l string) string {
-	if l == "" {
-		return ""
-	}
-	return "<<" + l + ">> "
-}
-
-func labelSuffix(l string) string {
-	if l == "" {
-		return ""
-	}
-	return " " + l
-}
-
-func whenSuffix(e sqlast.Expr) string {
-	if e == nil {
-		return ""
-	}
-	return " when " + sqlast.DeparseExpr(e)
-}

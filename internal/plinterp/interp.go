@@ -45,9 +45,9 @@ type Interpreter struct {
 	// FastPath enables the simple-expression fast path (ablation A3 turns
 	// it off, forcing every expression through the full executor).
 	FastPath bool
-	// NoInline disables planner UDF inlining inside embedded queries,
-	// mirroring the owning session's setting.
-	NoInline bool
+	// Opts points at the owning session's planner options; each embedded
+	// query plans with them plus its function's variable hook.
+	Opts *plan.Options
 
 	fns map[*plast.Function]*fnState
 }
@@ -62,6 +62,7 @@ func New(cat *catalog.Catalog, cache *plan.Cache, counters *profile.Counters, mk
 		MkCtx:    mkCtx,
 		Pool:     pool,
 		FastPath: true,
+		Opts:     &plan.Options{},
 		fns:      make(map[*plast.Function]*fnState),
 	}
 }
@@ -264,7 +265,8 @@ func (ip *Interpreter) compileSite(fr *frame, site any, e sqlast.Expr) (*stmtCom
 	defer func() { ip.Counters.PlanNS += time.Since(t0).Nanoseconds() }()
 
 	sc := &stmtComp{}
-	opts := plan.Options{Hook: fr.st.hook, DisableLateral: ip.Profile.DisableLateral, NoInline: ip.NoInline}
+	opts := *ip.Opts
+	opts.Hook = fr.st.hook
 	if ip.FastPath && !plan.HasSubquery(e) {
 		simple, _, err := plan.BuildScalarExpr(ip.Cat, e, opts)
 		if err != nil {
@@ -320,7 +322,9 @@ func (ip *Interpreter) runEmbedded(fr *frame, sc *stmtComp, accounted *int64) ([
 	ip.Counters.CtxSwitchFQ++
 
 	tPlan := time.Now()
-	p, err := ip.Cache.GetByText(ip.Cat, sc.key, sc.query, plan.Options{Hook: fr.st.hook, DisableLateral: ip.Profile.DisableLateral, NoInline: ip.NoInline})
+	opts := *ip.Opts
+	opts.Hook = fr.st.hook
+	p, err := ip.Cache.GetByText(ip.Cat, sc.key, sc.query, opts)
 	dPlan := time.Since(tPlan).Nanoseconds()
 	ip.Counters.PlanNS += dPlan
 	*accounted += dPlan

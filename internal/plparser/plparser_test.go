@@ -1,7 +1,6 @@
 package plparser
 
 import (
-	"strings"
 	"testing"
 
 	"plsqlaway/internal/plast"
@@ -278,22 +277,6 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, _, err := ParseBody(src); err == nil {
 			t.Errorf("ParseBody(%q) should error", src)
-		}
-	}
-}
-
-func TestDumpRendering(t *testing.T) {
-	f := parseFn(t, walkSrc)
-	d := f.Dump()
-	for _, want := range []string{
-		"function walk(origin coord, win int, loose int, steps int) returns int",
-		"declare reward int = 0",
-		"for step in 1..",
-		"if reward >= win OR reward <= loose then",
-		"return step * sign(reward)",
-	} {
-		if !strings.Contains(d, want) {
-			t.Errorf("dump missing %q:\n%s", want, d)
 		}
 	}
 }

@@ -473,3 +473,26 @@ func TestScriptIsAtomicOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSubqueryInWindowServed: a window whose PARTITION BY holds a
+// subquery gets its rows over the wire, and the connection — and the
+// server — go on serving.
+func TestSubqueryInWindowServed(t *testing.T) {
+	addr := start(t)
+	_, br, bw := rawConn(t, addr)
+	wire.WriteMessage(bw, &wire.Query{SQL: "CREATE TABLE u (id int); INSERT INTO u VALUES (1), (2), (3)"})
+	bw.Flush()
+	if r := drain(t, br); r.err != "" {
+		t.Fatal(r.err)
+	}
+	wire.WriteMessage(bw, &wire.Query{SQL: "SELECT id, row_number() OVER (PARTITION BY (SELECT 1)) FROM u"})
+	bw.Flush()
+	if r := drain(t, br); r.err != "" || strings.Join(r.rows, ";") != "id|row_number;1|1;2|2;3|3" {
+		t.Fatalf("window query answered %+v", r)
+	}
+	wire.WriteMessage(bw, &wire.Query{SQL: "SELECT 1"})
+	bw.Flush()
+	if r := drain(t, br); r.err != "" || len(r.rows) != 2 || r.rows[1] != "1" {
+		t.Fatalf("next query answered %+v", r)
+	}
+}
